@@ -53,6 +53,12 @@ pub trait CcAlgorithm: std::fmt::Debug + Send + Sync {
     /// Advances the controller's clocks by `dt`, during which the flow
     /// sent `bytes_sent` bytes and observed `queue_delay` of fabric
     /// queueing.
+    ///
+    /// The rate engine coalesces `k` consecutive idle steps (no bytes,
+    /// the same `queue_delay`) into one call with `k · dt`, so the state
+    /// after that call must equal the state after `k` calls with `dt`.
+    /// Integer `Dur` clock accumulators, as in [`DcqcnRp`] and
+    /// [`SwiftRp`], give this exactly.
     fn advance(&mut self, dt: Dur, bytes_sent: f64, queue_delay: Dur);
 
     /// Resets the flow to a fresh line-rate state (new communication

@@ -12,6 +12,19 @@
 //! makes compatible jobs interleave all *emerge* from the control loop —
 //! exactly the surprising behaviour §2 reports.
 //!
+//! Stepping: the grid is fixed (`dt`, 5 µs by default), and every run
+//! visits every grid step. Once phases interleave, most steps are
+//! *quiet*: every job computes, or every communicating flow's bytes
+//! drain within the step with no standing queue. [`RateSimulator::run_for`]
+//! and [`RateSimulator::run_until_iterations`] take such steps on a fast
+//! path that is bit-identical to [`RateSimulator::step`]. An all-computing
+//! stretch is one closed-form clock jump; a stretch with flows
+//! communicating repeats the full step's float operations, through the
+//! same helpers, without its event plumbing. The fast path stops one grid
+//! step before anything else would happen: a compute deadline, a
+//! departure, a capacity change, a trace or telemetry sample, a standing
+//! queue, backlog dust, or the end of a phase.
+//!
 //! Scope: one bottleneck link (the paper's experiments are all
 //! single-bottleneck; multi-link topologies are the fluid engine's job).
 
@@ -23,7 +36,7 @@ use eventsim::{Rng, TimeSeries};
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{CcState, Event, NoopRecorder, Phase, Recorder, SpanTracker};
 use topology::LinkSchedule;
-use workload::{JobProgress, JobSpec, PhaseNoise};
+use workload::{IterationRecord, JobProgress, JobSpec, PhaseNoise};
 
 /// Telemetry sampling cadence (queue depth + per-flow rate) used when the
 /// run is observed but no trace interval is configured.
@@ -58,23 +71,6 @@ pub struct RateSimConfig {
     /// If set, per-job throughput and queue traces are recorded at this
     /// granularity.
     pub trace_interval: Option<Dur>,
-    /// Adaptive stepping: lengthen `dt` (doubling, up to [`max_dt`])
-    /// while the system is quiet — no marks fired, no phase transitions,
-    /// and every communicating flow's rate unchanged over the step — and
-    /// snap back to the base `dt` the moment anything happens. When every
-    /// job is computing and the queue is drained, the engine jumps
-    /// straight to the next compute deadline (that jump is exact: the
-    /// DCQCN clocks replay their timer/byte events precisely for any
-    /// `dt`). Off by default; `false` is the exact legacy stepper.
-    ///
-    /// [`max_dt`]: RateSimConfig::max_dt
-    pub adaptive_step: bool,
-    /// Longest step adaptive stepping may take while any flow is
-    /// communicating (idle jumps between compute deadlines may be longer).
-    /// Only read when [`adaptive_step`] is set.
-    ///
-    /// [`adaptive_step`]: RateSimConfig::adaptive_step
-    pub max_dt: Dur,
     /// Fault injection: a time-varying multiplier on the bottleneck
     /// capacity (degradation windows, up/down flaps). `None` is the exact
     /// unperturbed engine.
@@ -96,8 +92,6 @@ impl Default for RateSimConfig {
             seed: 1,
             restart_on_phase: true,
             trace_interval: None,
-            adaptive_step: false,
-            max_dt: Dur::from_micros(80),
             capacity_schedule: None,
             signal_loss: None,
         }
@@ -146,7 +140,43 @@ pub(crate) fn cc_state_of(cc: &dyn CcAlgorithm) -> CcState {
     }
 }
 
-#[derive(Clone)]
+/// Bytes a communicating flow at `rate` bits/s places into the queue in a
+/// step of `dt_secs`, capped by what its phase has left to inject.
+#[inline]
+fn injection(rate: f64, dt_secs: f64, to_inject: f64) -> f64 {
+    (rate * dt_secs / 8.0).min(to_inject)
+}
+
+/// Bytes the link drains in a step of `dt_secs` at `bps`.
+#[inline]
+fn service_bytes(bps: f64, dt_secs: f64) -> f64 {
+    bps * dt_secs / 8.0
+}
+
+/// A job's pro-rata share of the bytes served this step. Clamped against
+/// float dust: shares can overshoot a job's backlog by an ulp, and a
+/// negative backlog would poison the next step's totals.
+#[inline]
+fn pro_rata(served_total: f64, backlog: f64, total_backlog: f64) -> f64 {
+    (served_total * backlog / total_backlog).clamp(0.0, backlog)
+}
+
+/// The queueing delay a delay-based controller observes: the time the
+/// standing queue takes to drain at `bps`.
+#[inline]
+fn queueing_delay(standing_queue: f64, bps: f64) -> Dur {
+    Dur::from_secs_f64(standing_queue * 8.0 / bps)
+}
+
+/// Grid steps `now + k·dt` (`k ≥ 0`) that start before `limit`.
+fn grid_steps_before(now: Time, limit: Time, dt: Dur) -> u64 {
+    limit
+        .saturating_since(now)
+        .as_nanos()
+        .div_ceil(dt.as_nanos())
+}
+
+#[derive(Debug, Clone)]
 struct JobState {
     progress: JobProgress,
     /// The job's live congestion controller, built from its
@@ -172,6 +202,41 @@ struct JobState {
     departed: bool,
 }
 
+impl JobState {
+    /// Moves this step's injection from the phase residual into the queue.
+    fn inject(&mut self, dt_secs: f64) {
+        let a = injection(self.cc.rate(), dt_secs, self.to_inject);
+        self.backlog += a;
+        self.to_inject -= a;
+    }
+
+    /// Serves this job's pro-rata share of the link; returns the bytes
+    /// delivered.
+    fn serve(&mut self, served_total: f64, total_backlog: f64) -> f64 {
+        let d = pro_rata(served_total, self.backlog, total_backlog);
+        self.backlog = (self.backlog - d).max(0.0);
+        d
+    }
+
+    /// Feeds phase progress to a job-aware controller, then advances the
+    /// controller's clocks over a step that delivered `delivered` bytes.
+    fn advance_cc(&mut self, dt: Dur, delivered: f64, queue_delay: Dur) {
+        if self.adaptive && self.progress.is_communicating() {
+            let total = self.progress.comm_bytes_per_iteration();
+            let sent = total - self.progress.remaining_bytes();
+            self.cc.on_phase_progress(sent / total);
+        }
+        self.cc.advance(dt, delivered, queue_delay);
+    }
+
+    /// Hands `bytes` (> 0) of the communicating job's traffic to its
+    /// phase machine at `t_end`.
+    fn deliver(&mut self, bytes: f64, t_end: Time) -> Option<IterationRecord> {
+        self.traced_bytes += bytes;
+        self.progress.deliver(bytes, t_end)
+    }
+}
+
 /// The rate-based simulator over one bottleneck link.
 ///
 /// Generic over a [`Recorder`]; the default [`NoopRecorder`] compiles all
@@ -191,25 +256,15 @@ pub struct RateSimulator<R: Recorder = NoopRecorder> {
     spans: SpanTracker,
     next_sample_at: Time,
     steps: u64,
-    /// Current adaptive step multiplier (power of two; 1 = base `dt`).
-    dt_scale: u64,
-    /// Consecutive quiet steps (no marks, transitions, or rate motion).
-    quiet_steps: u32,
     /// Dedicated chaos RNG for signal loss; only drawn from when
     /// `cfg.signal_loss` is set, so quiet runs stay bit-identical.
     chaos_rng: Rng,
     /// Last observed capacity multiplier (for change detection).
     last_cap_mult: f64,
+    /// Per-job bytes delivered in the current step (scratch, reused so a
+    /// step allocates nothing; not part of the snapshot).
+    delivered: Vec<f64>,
 }
-
-/// Quiet steps required before the adaptive stepper starts doubling:
-/// long enough to sit out a full CNP pacing interval of silence at the
-/// base 5 µs step before trusting the lull.
-const QUIET_STEPS_TO_COARSEN: u32 = 8;
-
-/// Longest exact idle jump between compute deadlines (keeps trace and
-/// telemetry sampling from starving during long compute phases).
-const MAX_IDLE_JUMP: Dur = Dur::from_millis(1);
 
 impl RateSimulator {
     /// Builds an unobserved simulator for `jobs` sharing the bottleneck.
@@ -297,10 +352,9 @@ impl<R: Recorder> RateSimulator<R> {
             spans,
             next_sample_at: Time::ZERO,
             steps: 0,
-            dt_scale: 1,
-            quiet_steps: 0,
             chaos_rng,
             last_cap_mult: 1.0,
+            delivered: vec![0.0; n],
         }
     }
 
@@ -345,93 +399,51 @@ impl<R: Recorder> RateSimulator<R> {
         &self.queue_trace
     }
 
-    /// Total steps taken so far (adaptive stepping's cost metric).
+    /// Total grid steps taken so far, fast-path steps included.
     pub fn steps(&self) -> u64 {
         self.steps
     }
 
-    /// The earliest compute→communicate deadline across all jobs, if any
-    /// job is computing. Departed jobs idle forever and are skipped (their
-    /// stale deadline would otherwise pin the adaptive stepper to 1 ns).
-    fn next_deadline(&self) -> Option<Time> {
-        self.jobs
-            .iter()
-            .filter(|j| !j.departed)
-            .filter_map(|j| j.progress.next_self_transition())
-            .min()
+    /// The bottleneck's capacity multiplier at instant `t`.
+    fn cap_mult_at(&self, t: Time) -> f64 {
+        self.cfg
+            .capacity_schedule
+            .as_ref()
+            .map_or(1.0, |s| s.multiplier_at(t))
     }
 
-    /// Picks this step's `dt` under adaptive stepping: the scaled base
-    /// step (or an exact jump to the next compute deadline when the whole
-    /// system is idle), never stepping over a compute deadline.
-    fn adaptive_dt(&self) -> Dur {
-        let base = self.cfg.dt;
-        let idle = self
-            .jobs
-            .iter()
-            .all(|j| !j.progress.is_communicating() && j.backlog < 0.5);
-        let mut dt = if idle {
-            match self.next_deadline() {
-                // Nothing can happen before the earliest deadline; the
-                // DCQCN clocks replay exactly across any span.
-                Some(dl) => dl.saturating_since(self.now).clamp(base, MAX_IDLE_JUMP),
-                None => MAX_IDLE_JUMP, // all jobs permanently done
-            }
+    /// Bottleneck capacity in bits/s under multiplier `cap_mult` (the
+    /// exact config value when undegraded).
+    fn effective_bps(&self, cap_mult: f64) -> f64 {
+        let bps = self.cfg.capacity.as_bps_f64();
+        if cap_mult != 1.0 {
+            bps * cap_mult
         } else {
-            Dur::from_nanos(base.as_nanos().saturating_mul(self.dt_scale)).min(self.cfg.max_dt)
-        };
-        // Land exactly on the next compute deadline rather than past it,
-        // so coarse steps never delay a phase start.
-        if let Some(dl) = self.next_deadline() {
-            if dl > self.now {
-                dt = dt.min(dl.saturating_since(self.now));
-            }
+            bps
         }
-        // Same for the next scheduled capacity change: a coarse step must
-        // not average across a fault boundary.
-        if let Some(s) = &self.cfg.capacity_schedule {
-            if let Some(change) = s.next_change_after(self.now) {
-                dt = dt.min(change.saturating_since(self.now));
-            }
-        }
-        dt.max(Dur::NANOSECOND)
     }
 
-    /// Advances the simulation by one step.
+    /// Advances the simulation by one grid step.
     pub fn step(&mut self) {
-        let dt = if self.cfg.adaptive_step {
-            self.adaptive_dt()
-        } else {
-            self.cfg.dt
-        };
+        let dt = self.cfg.dt;
         let dt_secs = dt.as_secs_f64();
         let t_end = self.now + dt;
-        // Anything that should snap the stepper back to fine steps: phase
-        // transitions, mark firings (hence CNPs), or rate motion.
-        let mut activity = false;
 
         // 0. Fault injection: the capacity multiplier in effect this step.
-        // `effective_bps` stays the exact config value on the quiet path.
-        let mut effective_bps = self.cfg.capacity.as_bps_f64();
-        if let Some(s) = &self.cfg.capacity_schedule {
-            let cap_mult = s.multiplier_at(self.now);
-            if cap_mult != self.last_cap_mult {
-                activity = true;
-                self.last_cap_mult = cap_mult;
-                if R::ENABLED {
-                    self.rec.record(
-                        self.now,
-                        Event::LinkCapacity {
-                            link: 0,
-                            fraction: cap_mult,
-                        },
-                    );
-                }
-            }
-            if cap_mult != 1.0 {
-                effective_bps *= cap_mult;
+        let cap_mult = self.cap_mult_at(self.now);
+        if self.cfg.capacity_schedule.is_some() && cap_mult != self.last_cap_mult {
+            self.last_cap_mult = cap_mult;
+            if R::ENABLED {
+                self.rec.record(
+                    self.now,
+                    Event::LinkCapacity {
+                        link: 0,
+                        fraction: cap_mult,
+                    },
+                );
             }
         }
+        let effective_bps = self.effective_bps(cap_mult);
 
         // 1. Compute→communicate transitions due at (or before) this step,
         // and churn departures (a departing job finishes any in-flight
@@ -441,7 +453,6 @@ impl<R: Recorder> RateSimulator<R> {
                 if let Some(d) = js.depart_at {
                     if self.now >= d && !js.progress.is_communicating() {
                         js.departed = true;
-                        activity = true;
                         if R::ENABLED {
                             self.rec
                                 .record(self.now, Event::JobDepart { job: i as u32 });
@@ -453,7 +464,6 @@ impl<R: Recorder> RateSimulator<R> {
                 continue;
             }
             if !js.progress.is_communicating() && js.progress.poll(self.now) {
-                activity = true;
                 js.to_inject = js.progress.remaining_bytes();
                 js.backlog = 0.0;
                 if self.cfg.restart_on_phase {
@@ -504,30 +514,23 @@ impl<R: Recorder> RateSimulator<R> {
         // 2. Injection at DCQCN rates (capped by phase residual).
         for js in &mut self.jobs {
             if js.progress.is_communicating() {
-                let offered = js.cc.rate() * dt_secs / 8.0; // bytes
-                let a = offered.min(js.to_inject);
-                js.backlog += a;
-                js.to_inject -= a;
+                js.inject(dt_secs);
             }
         }
 
         // 3. FIFO service at the (possibly degraded) link capacity, shared
         // pro-rata by backlog.
         let total_backlog: f64 = self.jobs.iter().map(|j| j.backlog).sum();
-        let service = effective_bps * dt_secs / 8.0;
-        let served_total = total_backlog.min(service);
-        let mut delivered = vec![0.0f64; self.jobs.len()];
-        if total_backlog > 0.0 {
-            for (i, js) in self.jobs.iter_mut().enumerate() {
-                // Clamp against float dust: pro-rata shares can overshoot a
-                // job's backlog by an ulp, and a negative backlog would
-                // poison the next step's totals.
-                let d = (served_total * js.backlog / total_backlog).clamp(0.0, js.backlog);
-                js.backlog = (js.backlog - d).max(0.0);
-                delivered[i] = d;
-            }
+        let served_total = total_backlog.min(service_bytes(effective_bps, dt_secs));
+        for (js, d) in self.jobs.iter_mut().zip(&mut self.delivered) {
+            *d = if total_backlog > 0.0 {
+                js.serve(served_total, total_backlog)
+            } else {
+                0.0
+            };
         }
         let standing_queue = total_backlog - served_total;
+        let delivered = &self.delivered;
 
         // 4. ECN marking on the standing queue → CNPs (paced per flow;
         // DCQCN controllers only — delay-based flows observe the queue
@@ -543,7 +546,6 @@ impl<R: Recorder> RateSimulator<R> {
                 let packets = delivered[i] / self.cfg.mtu_bytes;
                 js.expected_marks += packets * self.cfg.marker.mark_probability(standing_queue);
                 if js.expected_marks >= js.mark_threshold {
-                    activity = true;
                     js.expected_marks = 0.0;
                     js.mark_threshold = if self.cfg.mark_noise > 0.0 {
                         1.0 + self.cfg.mark_noise * (self.rng.f64() * 2.0 - 1.0)
@@ -596,31 +598,12 @@ impl<R: Recorder> RateSimulator<R> {
         }
 
         // 5. Controller clocks, adaptive progress, and delivery to jobs.
-        // The queueing delay a delay-based controller observes: the time
-        // the standing queue takes to drain at line rate.
-        let queue_delay = Dur::from_secs_f64(standing_queue * 8.0 / effective_bps);
+        let queue_delay = queueing_delay(standing_queue, effective_bps);
         for (i, js) in self.jobs.iter_mut().enumerate() {
-            let communicating = js.progress.is_communicating();
-            let rate_before = js.cc.rate();
-            if js.adaptive && communicating {
-                let total = js.progress.comm_bytes_per_iteration();
-                let sent = total - js.progress.remaining_bytes();
-                js.cc.on_phase_progress(sent / total);
-            }
-            js.cc.advance(dt, delivered[i], queue_delay);
-            // A communicating flow whose controlled rate moved this step
-            // is still converging: keep the stepper fine. (Computing
-            // flows' clocks replay exactly at any dt, so their motion
-            // doesn't force fine steps.)
-            if communicating && js.cc.rate() != rate_before {
-                activity = true;
-            }
-            if js.progress.is_communicating() && delivered[i] > 0.0 {
-                js.traced_bytes += delivered[i];
-                let finished = js.progress.deliver(delivered[i], t_end).is_some();
-                if finished || !js.progress.is_communicating() {
-                    activity = true;
-                }
+            let d = delivered[i];
+            js.advance_cc(dt, d, queue_delay);
+            if js.progress.is_communicating() && d > 0.0 {
+                let finished = js.deliver(d, t_end).is_some();
                 if finished {
                     // Iteration finished: residual float dust is discarded.
                     js.to_inject = 0.0;
@@ -703,68 +686,197 @@ impl<R: Recorder> RateSimulator<R> {
 
         self.steps += 1;
         self.now = t_end;
-        if self.cfg.adaptive_step {
-            if activity {
-                self.dt_scale = 1;
-                self.quiet_steps = 0;
-            } else {
-                self.quiet_steps = self.quiet_steps.saturating_add(1);
-                if self.quiet_steps >= QUIET_STEPS_TO_COARSEN {
-                    self.dt_scale = (self.dt_scale * 2)
-                        .min(self.cfg.max_dt.as_nanos() / self.cfg.dt.as_nanos().max(1))
-                        .max(1);
-                }
+    }
+
+    /// How many grid steps from now the quiet path may take before `end`.
+    /// Each must start before every pending compute deadline, departure
+    /// and capacity change, and end before the next trace or telemetry
+    /// sample; 0 if the capacity multiplier changes at this very step.
+    fn quiet_budget(&self, end: Time) -> u64 {
+        let mut start_by = end;
+        for js in &self.jobs {
+            if js.departed || js.progress.is_communicating() {
+                continue;
             }
+            if let Some(until) = js.progress.next_self_transition() {
+                start_by = start_by.min(until);
+            }
+            if let Some(d) = js.depart_at {
+                start_by = start_by.min(d);
+            }
+        }
+        if let Some(s) = &self.cfg.capacity_schedule {
+            if s.multiplier_at(self.now) != self.last_cap_mult {
+                return 0;
+            }
+            if let Some(change) = s.next_change_after(self.now) {
+                start_by = start_by.min(change);
+            }
+        }
+        let dt = self.cfg.dt;
+        let mut n = grid_steps_before(self.now, start_by, dt);
+        if self.cfg.trace_interval.is_some() {
+            n = n.min(grid_steps_before(self.now, self.next_trace_at, dt).saturating_sub(1));
+        }
+        if R::ENABLED {
+            n = n.min(grid_steps_before(self.now, self.next_sample_at, dt).saturating_sub(1));
+        }
+        n
+    }
+
+    /// The quiet fast path: from a step boundary where every backlog is
+    /// exactly zero, takes grid steps bit-identical to [`step`] until the
+    /// first one that would do more than move clocks and bytes. Returns
+    /// the number taken; 0 means the caller must take a full step.
+    ///
+    /// [`step`]: RateSimulator::step
+    fn run_quiet(&mut self, end: Time) -> u64 {
+        if self.jobs.iter().any(|j| j.backlog != 0.0) {
+            return 0;
+        }
+        let budget = self.quiet_budget(end);
+        if budget == 0 {
+            return 0;
+        }
+        let dt = self.cfg.dt;
+        let effective_bps = self.effective_bps(self.cap_mult_at(self.now));
+        // With no standing queue, every step sees zero queueing delay.
+        let queue_delay = queueing_delay(0.0, effective_bps);
+        if self.jobs.iter().all(|j| !j.progress.is_communicating()) {
+            // Every job computes: a grid step only advances each
+            // controller's clocks by `dt` with no bytes sent and no queue.
+            // Those clocks are integer accumulators, so one advance by
+            // `budget · dt` fires exactly the events `budget` steps would.
+            let span = dt * budget;
+            for js in &mut self.jobs {
+                js.cc.advance(span, 0.0, queue_delay);
+            }
+            self.now += span;
+            self.steps += budget;
+            return budget;
+        }
+        // An empty queue marks nothing only if the marking curve says so.
+        if self.cfg.marker.mark_probability(0.0) != 0.0 {
+            return 0;
+        }
+        let service = service_bytes(effective_bps, dt.as_secs_f64());
+        let mut taken = 0;
+        while taken < budget && self.quiet_step(service, queue_delay) {
+            taken += 1;
+        }
+        taken
+    }
+
+    /// One grid step with flows communicating and every backlog zero,
+    /// replaying [`step`]'s injection, service, controller and delivery
+    /// arithmetic in the same order. Returns `false`, leaving the
+    /// simulation untouched, if the step would leave a standing queue or
+    /// backlog dust, fire a mark, or end a phase.
+    ///
+    /// [`step`]: RateSimulator::step
+    fn quiet_step(&mut self, service: f64, queue_delay: Dur) -> bool {
+        let dt = self.cfg.dt;
+        let dt_secs = dt.as_secs_f64();
+        // Check: each job's backlog after injection, then its delivery.
+        for (js, b) in self.jobs.iter().zip(&mut self.delivered) {
+            *b = js.backlog;
+            if js.progress.is_communicating() {
+                *b += injection(js.cc.rate(), dt_secs, js.to_inject);
+            }
+        }
+        let total: f64 = self.delivered.iter().copied().sum();
+        if total > service {
+            return false; // standing queue
+        }
+        let served_total = total.min(service);
+        for (js, b) in self.jobs.iter().zip(&mut self.delivered) {
+            let d = if total > 0.0 {
+                pro_rata(served_total, *b, total)
+            } else {
+                0.0
+            };
+            if (*b - d).max(0.0) != 0.0 {
+                return false; // backlog dust
+            }
+            if d > 0.0 && (js.progress.would_finish(d) || js.expected_marks >= js.mark_threshold) {
+                return false; // phase end, or a mark already due
+            }
+            *b = d;
+        }
+        // Commit, exactly as `step` would.
+        let t_end = self.now + dt;
+        for (js, &d) in self.jobs.iter_mut().zip(&self.delivered) {
+            if js.progress.is_communicating() {
+                js.inject(dt_secs);
+            }
+            if total > 0.0 {
+                js.serve(served_total, total);
+            }
+            js.advance_cc(dt, d, queue_delay);
+            if js.progress.is_communicating() && d > 0.0 {
+                let record = js.deliver(d, t_end);
+                debug_assert!(record.is_none() && js.progress.is_communicating());
+            }
+        }
+        self.steps += 1;
+        self.now = t_end;
+        true
+    }
+
+    /// Reports a run's wall time, grid steps and fast-path steps to the
+    /// recorder.
+    fn report_run(&mut self, wall: Option<std::time::Instant>, steps0: u64, quiet: u64) {
+        if let Some(t0) = wall {
+            self.rec
+                .span("netsim.rate", t0.elapsed(), self.steps - steps0);
+            self.rec.count("rate_steps_total", self.steps - steps0);
+            self.rec.count("rate_quiet_steps_total", quiet);
         }
     }
 
     /// Runs for a fixed span of simulated time.
     pub fn run_for(&mut self, span: Dur) {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let wall = R::ENABLED.then(std::time::Instant::now);
         let steps0 = self.steps;
         let end = self.now + span;
+        let mut quiet = 0;
         while self.now < end {
-            self.step();
+            let n = self.run_quiet(end);
+            if n == 0 {
+                self.step();
+            }
+            quiet += n;
         }
-        if let Some(t0) = wall {
-            self.rec
-                .span("netsim.rate", t0.elapsed(), self.steps - steps0);
-            self.rec.count("rate_steps_total", self.steps - steps0);
-        }
+        self.report_run(wall, steps0, quiet);
     }
 
     /// Runs until every job has completed `n` iterations, or `max_span`
     /// elapses. Returns `true` if all jobs reached `n`.
     pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let wall = R::ENABLED.then(std::time::Instant::now);
         let steps0 = self.steps;
         let end = self.now + max_span;
-        let mut done = false;
+        let mut quiet = 0;
         // Departed jobs will never reach `n`; they no longer gate the run.
         let reached = |jobs: &[JobState]| {
             jobs.iter()
                 .all(|j| j.departed || j.progress.completed() >= n)
         };
+        // The quiet path completes no iteration, so checking before each
+        // full step or quiet stretch is checking before every grid step.
+        let mut done = false;
         while self.now < end {
             if reached(&self.jobs) {
                 done = true;
                 break;
             }
-            self.step();
+            let k = self.run_quiet(end);
+            if k == 0 {
+                self.step();
+            }
+            quiet += k;
         }
-        if let Some(t0) = wall {
-            self.rec
-                .span("netsim.rate", t0.elapsed(), self.steps - steps0);
-            self.rec.count("rate_steps_total", self.steps - steps0);
-        }
+        self.report_run(wall, steps0, quiet);
         done || reached(&self.jobs)
     }
 
@@ -818,7 +930,7 @@ impl<R: Recorder> RateSimulator<R> {
 /// Complete captured state of a [`RateSimulator`] at a step boundary:
 /// clocks, per-job progress and controller state, RNG and chaos stream
 /// positions, accumulated traces, and span-tracker state. Recorder-free.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct RateSnapshot {
     version: u32,
     cfg: RateSimConfig,
@@ -831,8 +943,6 @@ pub struct RateSnapshot {
     spans: SpanTracker,
     next_sample_at: Time,
     steps: u64,
-    dt_scale: u64,
-    quiet_steps: u32,
     chaos_rng: Rng,
     last_cap_mult: f64,
 }
@@ -868,8 +978,6 @@ impl<R: Recorder> Snapshottable<R> for RateSimulator<R> {
             spans: self.spans.clone(),
             next_sample_at: self.next_sample_at,
             steps: self.steps,
-            dt_scale: self.dt_scale,
-            quiet_steps: self.quiet_steps,
             chaos_rng: self.chaos_rng.clone(),
             last_cap_mult: self.last_cap_mult,
         })
@@ -885,6 +993,7 @@ impl<R: Recorder> Snapshottable<R> for RateSimulator<R> {
                 what: "rate-trace count does not match job count",
             });
         }
+        let n = snap.jobs.len();
         Ok(RateSimulator {
             cfg: snap.cfg,
             now: snap.now,
@@ -897,10 +1006,9 @@ impl<R: Recorder> Snapshottable<R> for RateSimulator<R> {
             spans: snap.spans,
             next_sample_at: snap.next_sample_at,
             steps: snap.steps,
-            dt_scale: snap.dt_scale,
-            quiet_steps: snap.quiet_steps,
             chaos_rng: snap.chaos_rng,
             last_cap_mult: snap.last_cap_mult,
+            delivered: vec![0.0; n],
         })
     }
 }
@@ -1132,65 +1240,6 @@ mod tests {
             })
             .count() as i64;
         assert!((enters - exits).abs() <= 1, "enters {enters} exits {exits}");
-    }
-
-    /// Adaptive stepping must not change what the simulation concludes —
-    /// iteration times stay within the engine's own validation bound —
-    /// while taking several times fewer steps.
-    #[test]
-    fn adaptive_stepping_reduces_steps_without_changing_results() {
-        let jobs = [
-            RateJob::new(vgg19(1200), CcVariant::Fair),
-            RateJob::new(vgg19(1200), CcVariant::Fair),
-        ];
-        let run = |adaptive_step: bool| {
-            let cfg = RateSimConfig {
-                adaptive_step,
-                ..RateSimConfig::default()
-            };
-            let mut sim = RateSimulator::new(cfg, &jobs);
-            assert!(sim.run_until_iterations(8, Dur::from_secs(10)));
-            let m = [median_ms(&sim, 0, 2), median_ms(&sim, 1, 2)];
-            (m, sim.steps())
-        };
-        let (fixed, steps_fixed) = run(false);
-        let (adaptive, steps_adaptive) = run(true);
-        for i in 0..2 {
-            let rel = (adaptive[i] - fixed[i]).abs() / fixed[i];
-            assert!(
-                rel < 0.03,
-                "job {i}: adaptive median {:.2} ms vs fixed {:.2} ms",
-                adaptive[i],
-                fixed[i]
-            );
-        }
-        assert!(
-            steps_adaptive * 2 < steps_fixed,
-            "adaptive stepping should cut steps ≥2×: {steps_adaptive} vs {steps_fixed}"
-        );
-    }
-
-    /// A solo adaptive run still matches the analytic iteration time: the
-    /// coarse steps taken in steady state and the exact idle jumps across
-    /// compute phases cannot distort a converged flow.
-    #[test]
-    fn adaptive_solo_matches_analytic_iteration_time() {
-        let spec = vgg19(1200);
-        let cfg = RateSimConfig {
-            adaptive_step: true,
-            ..RateSimConfig::default()
-        };
-        let mut sim = RateSimulator::new(cfg, &[RateJob::new(spec, CcVariant::Fair)]);
-        assert!(sim.run_until_iterations(5, Dur::from_secs(5)));
-        let expected = spec
-            .iteration_time_at(Bandwidth::from_gbps(50))
-            .as_millis_f64();
-        let measured = median_ms(&sim, 0, 1);
-        let err = (measured - expected).abs() / expected;
-        assert!(
-            err < 0.02,
-            "adaptive solo iteration {measured:.1} ms vs analytic {expected:.1} ms"
-        );
     }
 
     /// A capacity degradation window slows delivery while open and the

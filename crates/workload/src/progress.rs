@@ -182,6 +182,16 @@ impl JobProgress {
         }
     }
 
+    /// `true` if delivering `bytes` now would end the current
+    /// communication phase (the residual [`JobProgress::deliver`] leaves
+    /// is at or below the done threshold). `false` while computing.
+    pub fn would_finish(&self, bytes: f64) -> bool {
+        match self.phase {
+            JobPhase::Communicating { remaining } => remaining - bytes <= DONE_EPSILON,
+            JobPhase::Computing { .. } => false,
+        }
+    }
+
     /// The next instant at which the job changes state *on its own*:
     /// the end of a compute phase. `None` while communicating (that
     /// transition is delivery-driven and owned by the engine).
