@@ -10,6 +10,7 @@ use netsim::alloc::{
     reference, strict_priority_into, weighted_max_min_into, AllocScratch, FlowDemand,
 };
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur};
 use topology::builders::dumbbell;
 use workload::{JobSpec, Model};

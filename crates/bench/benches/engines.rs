@@ -9,6 +9,7 @@ use diagnostics::RunSummary;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur};
 use std::time::Instant;
 use topology::builders::dumbbell;

@@ -73,42 +73,6 @@ impl CcVariant {
             CcVariant::Policy { policy } => Box::new(PolicyRp::new(base, policy)),
         }
     }
-    /// Builds the reaction point for a job running this variant on top of
-    /// `base` parameters.
-    ///
-    /// # Panics
-    /// Panics for [`CcVariant::Swift`] — build a [`SwiftRp`] via
-    /// [`CcVariant::build_swift`] instead (the engine dispatches on
-    /// [`CcVariant::is_delay_based`]).
-    pub fn build_rp(&self, base: DcqcnParams) -> DcqcnRp {
-        match *self {
-            CcVariant::Fair | CcVariant::AdaptiveUnfair => DcqcnRp::new(base),
-            CcVariant::StaticUnfair { timer } => DcqcnRp::new(base.with_timer(timer)),
-            CcVariant::Swift { .. } => {
-                panic!("Swift variant uses build_swift, not build_rp")
-            }
-            CcVariant::Mltcp { .. } | CcVariant::Policy { .. } => {
-                panic!("wrapped controller: use CcVariant::build, not build_rp")
-            }
-        }
-    }
-
-    /// Builds the delay-based controller for [`CcVariant::Swift`].
-    ///
-    /// # Panics
-    /// Panics for the DCQCN variants.
-    pub fn build_swift(&self, line_rate: simtime::Bandwidth) -> SwiftRp {
-        match *self {
-            CcVariant::Swift { target_delay } => SwiftRp::new(
-                SwiftParams {
-                    line_rate,
-                    ..SwiftParams::fabric_default()
-                }
-                .with_target(target_delay),
-            ),
-            _ => panic!("build_swift on a DCQCN variant"),
-        }
-    }
 
     /// `true` for the paper's adaptively-unfair DCQCN (§4.i). Engines gate
     /// progress feeding on the broader [`CcVariant::wants_progress`].
@@ -178,18 +142,19 @@ mod tests {
     #[test]
     fn fair_uses_base_timer() {
         let base = DcqcnParams::testbed_default();
-        let rp = CcVariant::Fair.build_rp(base);
-        assert_eq!(rp.params().timer, Dur::from_micros(125));
+        let cc = CcVariant::Fair.build(base);
+        assert_eq!(cc.as_dcqcn().unwrap().params().timer, Dur::from_micros(125));
         assert!(!CcVariant::Fair.is_adaptive());
     }
 
     #[test]
     fn static_unfair_overrides_timer() {
         let base = DcqcnParams::testbed_default();
-        let rp = CcVariant::StaticUnfair {
+        let cc = CcVariant::StaticUnfair {
             timer: Dur::from_micros(100),
         }
-        .build_rp(base);
+        .build(base);
+        let rp = cc.as_dcqcn().unwrap();
         assert_eq!(rp.params().timer, Dur::from_micros(100));
         assert_eq!(rp.params().line_rate, base.line_rate);
     }
@@ -201,25 +166,26 @@ mod tests {
         };
         assert!(v.is_delay_based());
         assert!(!v.is_adaptive());
-        let rp = v.build_swift(simtime::Bandwidth::from_gbps(50));
-        assert_eq!(rp.params().target_delay, Dur::from_micros(60));
-        assert_eq!(rp.rate(), 50e9);
-    }
-
-    #[test]
-    #[should_panic(expected = "build_swift, not build_rp")]
-    fn swift_rejects_dcqcn_builder() {
-        CcVariant::Swift {
-            target_delay: Dur::from_micros(30),
-        }
-        .build_rp(DcqcnParams::testbed_default());
+        let base = DcqcnParams::testbed_default();
+        let cc = v.build(base);
+        assert!(cc.as_dcqcn().is_none());
+        assert_eq!(cc.rate(), 50e9);
+        // The target delay is 60 µs: 50 µs of queueing leaves the rate at
+        // line rate, 100 µs cuts it.
+        let dt = Dur::from_micros(100);
+        let mut under = v.build(base);
+        under.advance(dt, 0.0, Dur::from_micros(50));
+        assert_eq!(under.rate(), 50e9);
+        let mut over = v.build(base);
+        over.advance(dt, 0.0, Dur::from_micros(100));
+        assert!(over.rate() < 50e9);
     }
 
     #[test]
     fn adaptive_flags_progress_feeding() {
         assert!(CcVariant::AdaptiveUnfair.is_adaptive());
-        let rp = CcVariant::AdaptiveUnfair.build_rp(DcqcnParams::testbed_default());
-        assert_eq!(rp.boost(), 1.0); // engine raises it as the phase progresses
+        let cc = CcVariant::AdaptiveUnfair.build(DcqcnParams::testbed_default());
+        assert_eq!(cc.as_dcqcn().unwrap().boost(), 1.0); // engine raises it as the phase progresses
     }
 
     #[test]
@@ -284,11 +250,5 @@ mod tests {
             target_delay: Dur::from_micros(60),
         };
         assert!((sw.fluid_weight(0.3) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "use CcVariant::build")]
-    fn wrapped_variants_reject_build_rp() {
-        CcVariant::Mltcp { bonus: 1.0 }.build_rp(DcqcnParams::testbed_default());
     }
 }

@@ -1,11 +1,14 @@
 //! Fault injection for the experiments, plus the `chaos_sweep` grid.
 //!
-//! [`apply_rate`] expands a [`faults::ChaosConfig`] for a rate-engine run
-//! and maps it onto the engine's knobs: per-job phase noise, late-arrival
-//! start offsets and departure deadlines, the bottleneck link's capacity
-//! schedule, and DCQCN signal loss. With [`ChaosConfig::none`] it returns
-//! without touching anything, so unperturbed runs stay bit-identical to a
-//! build without chaos plumbing.
+//! Chaos reaches an engine two ways, both written once for all three
+//! engines. At construction, [`apply_to_jobs`] expands a
+//! [`faults::ChaosConfig`] and lands per-job phase noise, late-arrival
+//! start offsets and departure deadlines on any engine's job list; the
+//! caller lands the compiled link schedules and signal loss on its engine
+//! config ([`apply_rate`] does both for the rate engine). At a fork
+//! barrier, [`apply_at_barrier`] perturbs an already-running [`Engine`].
+//! With [`ChaosConfig::none`] both return without touching anything, so
+//! unperturbed runs stay bit-identical to a build without chaos plumbing.
 //!
 //! [`run`] sweeps a seeds × profiles grid over the Fig. 1 pair (aggressive
 //! VGG19 vs fair VGG19 on the 50 Gbps bottleneck): each cell runs under
@@ -14,46 +17,85 @@
 //! re-interleave after each perturbation. The per-cell medians, fault
 //! windows, and recovery times are the `BENCH_chaos.json` payload.
 
+use crate::forkcache::{self, Prefix};
 use crate::metrics::{text_table, JobStats};
 use crate::parallel;
 use dcqcn::CcVariant;
 use diagnostics::{recovery, RecoveryConfig, RecoveryReport};
-use faults::ChaosConfig;
+use faults::{ChaosConfig, CompiledChaos};
+use netsim::fluid::FluidJob;
+use netsim::packet::PacketJob;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
-use netsim::snapshot::Snapshottable;
-use simtime::{Dur, Time};
+use netsim::Engine;
+use simtime::{Bandwidth, Dur, Time};
 use telemetry::{BufferRecorder, Event, ForkableRecorder, NoopRecorder, Recorder};
 use topology::LinkSchedule;
-use workload::{JobProgress, JobSpec, Model};
+use workload::{JobSpec, Model, PhaseNoise};
 
-/// Applies `chaos` to a rate-engine run lasting roughly `horizon`.
-///
-/// Per-job phase noise, arrival delays (added to the existing start
-/// offsets), and departure deadlines land on `jobs`; the bottleneck-link
-/// capacity schedule and DCQCN signal loss land on `sim`. A
-/// [`ChaosConfig::none`] config is an exact no-op: nothing is read or
-/// written, so quiet runs remain byte-identical.
+/// A job description construction-time chaos can perturb: the start
+/// offset, phase noise and departure deadline every engine's job type
+/// carries.
+pub trait ChaosJob {
+    /// `(start_offset, noise, depart_at)`.
+    fn chaos_fields(&mut self) -> (&mut Dur, &mut Option<PhaseNoise>, &mut Option<Time>);
+}
+
+macro_rules! chaos_job {
+    ($($job:ty),*) => {$(
+        impl ChaosJob for $job {
+            fn chaos_fields(&mut self) -> (&mut Dur, &mut Option<PhaseNoise>, &mut Option<Time>) {
+                (&mut self.start_offset, &mut self.noise, &mut self.depart_at)
+            }
+        }
+    )*};
+}
+chaos_job!(RateJob, FluidJob, PacketJob);
+
+/// Compiles `chaos` for a run of `jobs` over `links` links lasting roughly
+/// `horizon`, and lands its job-side part on `jobs`: phase noise, arrival
+/// delays (added to the existing start offsets) and departure deadlines.
+/// Chaos is keyed by job index, so a shard built from a slice of a global
+/// job list inherits exactly the perturbations its jobs see unsharded.
+/// Returns the plan, whose link schedules and signal loss the caller lands
+/// on its engine config; `None`, with nothing read or written, when chaos
+/// is off.
+pub fn apply_to_jobs<J: ChaosJob>(
+    chaos: &ChaosConfig,
+    jobs: &mut [J],
+    links: usize,
+    horizon: Dur,
+) -> Option<CompiledChaos> {
+    if chaos.is_none() {
+        return None;
+    }
+    let plan = chaos.compile(jobs.len(), links, horizon);
+    for (i, job) in jobs.iter_mut().enumerate() {
+        let (start, noise, depart) = job.chaos_fields();
+        *noise = plan.noise[i];
+        *start += plan.arrivals[i];
+        *depart = plan.departures[i];
+    }
+    Some(plan)
+}
+
+/// Applies `chaos` to a rate-engine run lasting roughly `horizon`: the
+/// job-side part of [`apply_to_jobs`] lands on `jobs`, and the bottleneck
+/// link's capacity schedule and the DCQCN signal loss land on `sim`.
 pub fn apply_rate(
     chaos: &ChaosConfig,
     jobs: &mut [RateJob],
     sim: &mut RateSimConfig,
     horizon: Dur,
 ) {
-    if chaos.is_none() {
-        return;
-    }
     // The rate engine models a single shared bottleneck: one link.
-    let plan = chaos.compile(jobs.len(), 1, horizon);
-    for (i, job) in jobs.iter_mut().enumerate() {
-        job.noise = plan.noise[i];
-        job.start_offset += plan.arrivals[i];
-        job.depart_at = plan.departures[i];
+    if let Some(plan) = apply_to_jobs(chaos, jobs, 1, horizon) {
+        if let Some(s) = plan.link_schedules.into_iter().next() {
+            if !s.is_identity() {
+                sim.capacity_schedule = Some(s);
+            }
+        }
+        sim.signal_loss = plan.signal_loss;
     }
-    match plan.link_schedules.first() {
-        Some(s) if !s.is_identity() => sim.capacity_schedule = Some(s.clone()),
-        _ => {}
-    }
-    sim.signal_loss = plan.signal_loss;
 }
 
 /// Shifts a compiled link schedule's change points forward by `by`, so a
@@ -62,40 +104,36 @@ fn shift_schedule(s: &LinkSchedule, by: Dur) -> LinkSchedule {
     LinkSchedule::new(s.changes().iter().map(|&(t, m)| (t + by, m)).collect())
 }
 
-/// Applies `chaos` to an already-running rate simulator at a fork
-/// barrier: the plan is compiled over the post-fork `remaining` horizon
-/// and its absolute times shifted by `fork_at`. Phase noise takes effect
-/// at each job's next iteration rollover; schedules and signal loss apply
-/// from the barrier on.
+/// Applies `chaos` to an already-running engine at a fork barrier: the
+/// plan is compiled over the post-fork `remaining` horizon and its
+/// absolute times shifted by `fork_at`. Phase noise takes effect at each
+/// job's next iteration rollover; schedules and signal loss apply from the
+/// barrier on.
 ///
 /// Late arrivals are **not representable** after a fork — every job
 /// already started inside the shared prefix. The builtin sweep profiles
 /// (`stragglers`, `links`) have churn arrivals off; a profile that draws
 /// one panics rather than silently diverging from its from-`t=0` meaning.
-pub fn apply_rate_at_barrier<R: Recorder>(
-    chaos: &ChaosConfig,
-    sim: &mut RateSimulator<R>,
-    jobs: usize,
-    fork_at: Dur,
-    remaining: Dur,
-) {
+pub fn apply_at_barrier<E: Engine>(chaos: &ChaosConfig, sim: &mut E, fork_at: Dur, remaining: Dur) {
     if chaos.is_none() {
         return;
     }
-    let plan = chaos.compile(jobs, 1, remaining);
+    let plan = chaos.compile(sim.num_jobs(), sim.num_links(), remaining);
     assert!(
         plan.arrivals.iter().all(|d| d.is_zero()),
         "forked sweep: late arrivals cannot be applied after the shared \
          prefix (use an arrival-free profile or run without --fork-at)"
     );
-    for i in 0..jobs {
+    for i in 0..sim.num_jobs() {
         sim.set_noise(i, plan.noise[i]);
         sim.set_depart_at(i, plan.departures[i].map(|t| t + fork_at));
     }
-    match plan.link_schedules.first() {
-        Some(s) if !s.is_identity() => sim.set_capacity_schedule(Some(shift_schedule(s, fork_at))),
-        _ => {}
-    }
+    sim.set_link_schedules(
+        plan.link_schedules
+            .iter()
+            .map(|s| shift_schedule(s, fork_at))
+            .collect(),
+    );
     sim.set_signal_loss(plan.signal_loss);
 }
 
@@ -110,14 +148,63 @@ pub fn budget_slack(chaos: &ChaosConfig) -> u64 {
     }
 }
 
-/// Job statistics with a degraded-run fallback: a perturbed job that
-/// departed before clearing the warmup cut still gets statistics over
-/// whatever iterations it did finish. Identical to
+/// The simulated-time plan of a run of a pair of jobs: the nominal
+/// horizon chaos is compiled over, and the budget the run must finish in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunSpan {
+    /// The slower job's nominal iteration time.
+    pub(crate) per_iter: Dur,
+    /// Iterations the run must complete.
+    pub(crate) iterations: usize,
+}
+
+impl RunSpan {
+    /// The span of `iterations` iterations of `jobs` on a `capacity` link.
+    pub(crate) fn pair(jobs: &[JobSpec; 2], capacity: Bandwidth, iterations: usize) -> RunSpan {
+        RunSpan {
+            per_iter: jobs[0]
+                .iteration_time_at(capacity)
+                .max(jobs[1].iteration_time_at(capacity)),
+            iterations,
+        }
+    }
+
+    /// The nominal run length chaos is compiled over: two iterations'
+    /// worth per iteration.
+    pub(crate) fn horizon(&self) -> Dur {
+        self.per_iter * (self.iterations as u64 * 2)
+    }
+
+    /// What is left of [`RunSpan::horizon`] after a fork at `at`: one
+    /// iteration when the fork lies beyond it.
+    pub(crate) fn remaining(&self, at: Dur) -> Dur {
+        let horizon = self.horizon();
+        if at < horizon {
+            horizon - at
+        } else {
+            self.per_iter
+        }
+    }
+
+    /// Simulated time the run may take under `chaos`.
+    pub(crate) fn budget(&self, chaos: &ChaosConfig) -> Dur {
+        self.per_iter * ((self.iterations as u64 * 4 + 40) * budget_slack(chaos))
+    }
+}
+
+/// Every job's statistics, with a degraded-run fallback: a perturbed job
+/// that departed before clearing the warmup cut still gets statistics
+/// over whatever iterations it did finish. Identical to
 /// [`JobStats::from_progress`] whenever the job ran long enough.
-pub fn stats_tolerant(progress: &JobProgress, warmup: usize) -> JobStats {
-    JobStats::try_from_progress(progress, warmup)
-        .or_else(|_| JobStats::try_from_progress(progress, 0))
-        .unwrap_or_else(|e| panic!("{e}"))
+pub fn job_stats<E: Engine>(sim: &E, warmup: usize) -> Vec<JobStats> {
+    (0..sim.num_jobs())
+        .map(|i| {
+            let progress = sim.progress(i);
+            JobStats::try_from_progress(progress, warmup)
+                .or_else(|_| JobStats::try_from_progress(progress, 0))
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+        .collect()
 }
 
 /// Parameters of the chaos sweep.
@@ -263,45 +350,93 @@ fn base_jobs(cfg: &ChaosSweepConfig) -> [RateJob; 2] {
     ]
 }
 
-/// Runs one grid cell, returning its outcome and raw telemetry.
-fn run_cell(cfg: &ChaosSweepConfig, profile: &str, seed: u64) -> (ChaosCell, BufferRecorder) {
-    let chaos = ChaosConfig {
+impl Prefix for ChaosSweepConfig {
+    type Snapshot = RateSnapshot;
+    type Sim<Q: Recorder> = RateSimulator<Q>;
+
+    /// The sweep's clean pair, before any chaos.
+    fn start<Q: Recorder>(&self, rec: Q) -> RateSimulator<Q> {
+        RateSimulator::with_recorder(self.sim.clone(), &base_jobs(self), rec)
+    }
+
+    fn key(&self) -> String {
+        format!(
+            "chaos-prefix|{:?}|{:?}|{:?}",
+            self.jobs, self.aggressive_timer, self.sim
+        )
+    }
+}
+
+/// The grid's (profile, seed) cells, profile-major.
+fn grid(cfg: &ChaosSweepConfig) -> Vec<(String, u64)> {
+    cfg.profiles
+        .iter()
+        .flat_map(|p| cfg.seeds.iter().map(move |&s| (p.clone(), s)))
+        .collect()
+}
+
+/// The cell's seeded chaos profile.
+fn cell_chaos(profile: &str, seed: u64) -> ChaosConfig {
+    ChaosConfig {
         seed,
         ..ChaosConfig::profile(profile)
             .unwrap_or_else(|| panic!("chaos_sweep: unknown profile {profile:?}"))
-    };
+    }
+}
+
+/// Runs one grid cell from `t = 0`, returning its per-job medians and raw
+/// telemetry.
+fn run_cell(cfg: &ChaosSweepConfig, (profile, seed): &(String, u64)) -> (Vec<f64>, BufferRecorder) {
+    let chaos = &cell_chaos(profile, *seed);
     let mut jobs = base_jobs(cfg);
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
+    let span = RunSpan::pair(&cfg.jobs, cfg.sim.capacity, cfg.iterations);
     let mut sim_cfg = cfg.sim.clone();
-    apply_rate(
-        &chaos,
-        &mut jobs,
-        &mut sim_cfg,
-        per_iter * (cfg.iterations as u64 * 2),
-    );
+    apply_rate(chaos, &mut jobs, &mut sim_cfg, span.horizon());
     // Each cell records into its own buffer regardless of the caller's
     // recorder: the recovery analyzer needs the event stream.
     let mut rec = BufferRecorder::new();
     let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, &mut rec);
-    let budget = per_iter * ((cfg.iterations as u64 * 4 + 40) * budget_slack(&chaos));
-    let done = sim.run_until_iterations(cfg.iterations, budget);
+    let done = sim.run_until_iterations(cfg.iterations, span.budget(chaos));
     assert!(done, "chaos_sweep: cell {profile}/s{seed} did not finish");
-    let medians_ms = (0..2)
-        .map(|i| stats_tolerant(sim.progress(i), cfg.warmup).median_ms())
-        .collect();
+    let medians = medians_ms(&sim, cfg.warmup);
     drop(sim);
-    let report = recovery(rec.events(), &RecoveryConfig::default());
-    (
-        ChaosCell {
-            profile: profile.to_string(),
-            seed,
-            medians_ms,
-            recovery: report,
-        },
-        rec,
-    )
+    (medians, rec)
+}
+
+/// Every job's median iteration time, in milliseconds.
+fn medians_ms<E: Engine>(sim: &E, warmup: usize) -> Vec<f64> {
+    job_stats(sim, warmup)
+        .iter()
+        .map(JobStats::median_ms)
+        .collect()
+}
+
+/// Runs the recovery analyzer over a finished cell's telemetry and streams
+/// that telemetry into the sweep fork behind the cell's [`Event::Scenario`]
+/// marker (`chaos/<profile>/s<seed>`).
+fn finish_cell<F: Recorder>(
+    fork: &mut F,
+    (profile, seed): &(String, u64),
+    medians_ms: Vec<f64>,
+    cell_rec: &BufferRecorder,
+) -> ChaosCell {
+    if F::ENABLED {
+        fork.record(
+            Time::ZERO,
+            Event::Scenario {
+                name: format!("chaos/{profile}/s{seed}"),
+            },
+        );
+        for te in cell_rec.events() {
+            fork.record(te.at, te.event.clone());
+        }
+    }
+    ChaosCell {
+        profile: profile.clone(),
+        seed: *seed,
+        medians_ms,
+        recovery: recovery(cell_rec.events(), &RecoveryConfig::default()),
+    }
 }
 
 /// Runs the full grid.
@@ -314,108 +449,19 @@ pub fn run(cfg: &ChaosSweepConfig) -> ChaosSweepResult {
 /// independent and run in parallel under [`parallel::jobs`] workers;
 /// results and telemetry are identical to a serial run.
 pub fn run_traced<R: ForkableRecorder>(cfg: &ChaosSweepConfig, mut rec: R) -> ChaosSweepResult {
-    let grid: Vec<(String, u64)> = cfg
-        .profiles
-        .iter()
-        .flat_map(|p| cfg.seeds.iter().map(move |&s| (p.clone(), s)))
-        .collect();
-    let cells = parallel::map_traced(&mut rec, &grid, |_, (profile, seed), fork| {
-        let (cell, cell_rec) = run_cell(cfg, profile, *seed);
-        emit_cell(fork, profile, *seed, &cell_rec);
-        cell
+    let cells = parallel::map_traced(&mut rec, &grid(cfg), |_, cell, fork| {
+        let (medians, cell_rec) = run_cell(cfg, cell);
+        finish_cell(fork, cell, medians, &cell_rec)
     });
     ChaosSweepResult { cells }
-}
-
-/// Streams one cell's telemetry into a sweep fork behind its
-/// [`Event::Scenario`] marker.
-fn emit_cell<F: Recorder>(fork: &mut F, profile: &str, seed: u64, cell_rec: &BufferRecorder) {
-    if F::ENABLED {
-        fork.record(
-            Time::ZERO,
-            Event::Scenario {
-                name: format!("chaos/{profile}/s{seed}"),
-            },
-        );
-        for te in cell_rec.events() {
-            fork.record(te.at, te.event.clone());
-        }
-    }
-}
-
-/// Runs one grid cell from a fork barrier: restoring `shared`'s snapshot
-/// (fork mode) or re-simulating the clean prefix (replay mode), then
-/// applying the cell's chaos at the barrier either way.
-fn run_cell_forked(
-    cfg: &ChaosSweepConfig,
-    profile: &str,
-    seed: u64,
-    fork_at: Dur,
-    shared: Option<&(RateSnapshot, BufferRecorder)>,
-) -> (ChaosCell, BufferRecorder) {
-    let chaos = ChaosConfig {
-        seed,
-        ..ChaosConfig::profile(profile)
-            .unwrap_or_else(|| panic!("chaos_sweep: unknown profile {profile:?}"))
-    };
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
-    let horizon = per_iter * (cfg.iterations as u64 * 2);
-    let remaining = if fork_at < horizon {
-        horizon - fork_at
-    } else {
-        per_iter
-    };
-    let mut cell_rec = BufferRecorder::new();
-    let medians_ms: Vec<f64> = {
-        let mut sim = match shared {
-            Some((snap, prefix_rec)) => {
-                // The snapshot is recorder-free: replay the prefix's
-                // recording first so the cell's stream is byte-identical
-                // to one that simulated the prefix itself.
-                for te in prefix_rec.events() {
-                    cell_rec.record(te.at, te.event.clone());
-                }
-                RateSimulator::restore(snap.clone(), &mut cell_rec)
-                    .expect("clean-prefix snapshot restores")
-            }
-            None => {
-                let jobs = base_jobs(cfg);
-                let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, &mut cell_rec);
-                sim.run_until(Time::ZERO + fork_at);
-                sim
-            }
-        };
-        apply_rate_at_barrier(&chaos, &mut sim, 2, fork_at, remaining);
-        let budget = per_iter * ((cfg.iterations as u64 * 4 + 40) * budget_slack(&chaos));
-        let done = sim.run_until_iterations(cfg.iterations, budget);
-        assert!(
-            done,
-            "chaos_sweep: forked cell {profile}/s{seed} did not finish"
-        );
-        (0..2)
-            .map(|i| stats_tolerant(sim.progress(i), cfg.warmup).median_ms())
-            .collect()
-    };
-    let report = recovery(cell_rec.events(), &RecoveryConfig::default());
-    (
-        ChaosCell {
-            profile: profile.to_string(),
-            seed,
-            medians_ms,
-            recovery: report,
-        },
-        cell_rec,
-    )
 }
 
 /// Runs the grid forked from a shared clean prefix: the unperturbed pair
 /// runs once to `fork_at`, is snapshotted, and every cell restores the
 /// snapshot on a worker thread and applies its chaos at the barrier (see
-/// [`apply_rate_at_barrier`]). With `replay`, every cell instead
-/// re-simulates the prefix itself — same semantics, so a replay run is
-/// the byte-identity baseline gating the fork path's snapshot fidelity.
+/// [`apply_at_barrier`]). With `replay`, every cell instead re-simulates
+/// the prefix itself — same semantics, so a replay run is the
+/// byte-identity baseline gating the fork path's snapshot fidelity.
 ///
 /// Forked semantics differ from [`run_traced`]'s: a cell's chaos plan
 /// covers only the post-fork remainder of the horizon, so forked and
@@ -428,45 +474,21 @@ pub fn run_forked<R: ForkableRecorder>(
     fork_at: Dur,
     replay: bool,
 ) -> ChaosSweepResult {
-    let grid: Vec<(String, u64)> = cfg
-        .profiles
-        .iter()
-        .flat_map(|p| cfg.seeds.iter().map(move |&s| (p.clone(), s)))
-        .collect();
-    let cells = if replay {
-        parallel::map_traced(&mut rec, &grid, |_, (profile, seed), fork| {
-            let (cell, cell_rec) = run_cell_forked(cfg, profile, *seed, fork_at, None);
-            emit_cell(fork, profile, *seed, &cell_rec);
-            cell
-        })
-    } else {
-        let prefix = || {
-            let key = simtime::hash::config_hash(&format!(
-                "chaos-prefix|{:?}|{:?}|{:?}|{:?}",
-                cfg.jobs, cfg.aggressive_timer, cfg.sim, fork_at
-            ));
-            crate::forkcache::get_or_build(key, || {
-                let jobs = base_jobs(cfg);
-                let mut prefix_rec = BufferRecorder::new();
-                let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, &mut prefix_rec);
-                sim.run_until(Time::ZERO + fork_at);
-                let snap = sim.snapshot().expect("run_until leaves a barrier");
-                drop(sim);
-                (snap, prefix_rec)
-            })
-        };
-        parallel::map_forked(
-            &mut rec,
-            &grid,
-            prefix,
-            |_, (profile, seed), shared, fork| {
-                let (cell, cell_rec) =
-                    run_cell_forked(cfg, profile, *seed, fork_at, Some(&**shared));
-                emit_cell(fork, profile, *seed, &cell_rec);
-                cell
-            },
-        )
-    };
+    let span = RunSpan::pair(&cfg.jobs, cfg.sim.capacity, cfg.iterations);
+    let cells = forkcache::map_from_prefix(
+        &mut rec,
+        &grid(cfg),
+        cfg,
+        fork_at,
+        replay,
+        |cell, barrier, fork| {
+            let mut cell_rec = BufferRecorder::new();
+            let sim = barrier.run(&mut cell_rec, &span, &cell_chaos(&cell.0, cell.1), |_| {});
+            let medians = medians_ms(&sim, cfg.warmup);
+            drop(sim);
+            finish_cell(fork, cell, medians, &cell_rec)
+        },
+    );
     ChaosSweepResult { cells }
 }
 

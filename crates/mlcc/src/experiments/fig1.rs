@@ -10,16 +10,17 @@
 //!   for *both* jobs under unfairness (≈ 1.23× at the median on the
 //!   testbed).
 
-use crate::experiments::chaos;
+use crate::experiments::chaos::{self, RunSpan};
+use crate::forkcache::{self, Prefix};
 use crate::metrics::{text_table, JobStats, Speedup};
 use crate::parallel;
 use dcqcn::CcVariant;
 use eventsim::TimeSeries;
 use faults::ChaosConfig;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
-use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Dur, Time};
-use telemetry::{BufferRecorder, Event, ForkableRecorder, NoopRecorder, Recorder};
+use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
 use workload::{JobSpec, Model};
 
 /// Experiment parameters.
@@ -186,20 +187,11 @@ fn run_scenario<R: Recorder>(
         RateJob::new(cfg.jobs[1], variants[1]),
     ];
     jobs[1].start_offset = stagger;
-    let budget_per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
+    let span = run_span(cfg);
     let mut sim_cfg = cfg.sim.clone();
-    chaos::apply_rate(
-        &cfg.chaos,
-        &mut jobs,
-        &mut sim_cfg,
-        budget_per_iter * (cfg.iterations as u64 * 2),
-    );
+    chaos::apply_rate(&cfg.chaos, &mut jobs, &mut sim_cfg, span.horizon());
     let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, rec);
-    let budget =
-        budget_per_iter * ((cfg.iterations as u64 * 4 + 40) * chaos::budget_slack(&cfg.chaos));
-    let done = sim.run_until_iterations(cfg.iterations, budget);
+    let done = sim.run_until_iterations(cfg.iterations, span.budget(&cfg.chaos));
     assert!(
         done,
         "fig1: jobs did not finish {} iterations",
@@ -208,11 +200,12 @@ fn run_scenario<R: Recorder>(
     collect_scenario(cfg, &sim)
 }
 
+fn run_span(cfg: &Fig1Config) -> RunSpan {
+    RunSpan::pair(&cfg.jobs, cfg.sim.capacity, cfg.iterations)
+}
+
 /// Extracts a finished run's [`Scenario`] numbers.
 fn collect_scenario<R: Recorder>(cfg: &Fig1Config, sim: &RateSimulator<R>) -> Scenario {
-    let budget_per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
     // First-iteration bandwidth: mean rate over the overlapped window of
     // the first communication phases, [max compute end, first completion).
     // Under chaos a job may depart before completing an iteration; fall
@@ -221,7 +214,7 @@ fn collect_scenario<R: Recorder>(cfg: &Fig1Config, sim: &RateSimulator<R>) -> Sc
     let first_done = (0..2)
         .filter_map(|i| sim.progress(i).iterations().first().map(|it| it.completed))
         .min()
-        .unwrap_or(comm_start + budget_per_iter);
+        .unwrap_or(comm_start + run_span(cfg).per_iter);
     let first_iteration_bw = (0..2)
         .map(|i| sim.rate_trace(i).mean(comm_start, first_done))
         .collect();
@@ -251,9 +244,7 @@ fn collect_scenario<R: Recorder>(cfg: &Fig1Config, sim: &RateSimulator<R>) -> Sc
     };
 
     Scenario {
-        stats: (0..2)
-            .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
-            .collect(),
+        stats: chaos::job_stats(sim, cfg.warmup),
         first_iteration_bw,
         traces,
         contention,
@@ -437,59 +428,26 @@ pub fn run_traced<R: ForkableRecorder>(cfg: &Fig1Config, rec: R) -> Fig1Result {
     Fig1Result { fair, unfair }
 }
 
-/// Runs one variant cell from a fork barrier: restoring `shared`'s
-/// snapshot (fork mode) or re-simulating the fair prefix (replay mode),
-/// then switching job 0's variant and applying chaos at the barrier.
-fn run_forked_cell<F: Recorder>(
-    cfg: &Fig1Config,
-    variant: Option<CcVariant>,
-    fork_at: Dur,
-    shared: Option<&(RateSnapshot, BufferRecorder)>,
-    mut rec: F,
-) -> Scenario {
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
-    let horizon = per_iter * (cfg.iterations as u64 * 2);
-    let remaining = if fork_at < horizon {
-        horizon - fork_at
-    } else {
-        per_iter
-    };
-    let mut sim = match shared {
-        Some((snap, prefix_rec)) => {
-            // The snapshot is recorder-free: replay the prefix recording
-            // first so the cell's stream matches a replayed run's.
-            if F::ENABLED {
-                for te in prefix_rec.events() {
-                    rec.record(te.at, te.event.clone());
-                }
-            }
-            RateSimulator::restore(snap.clone(), rec).expect("fair-prefix snapshot restores")
-        }
-        None => {
-            let mut jobs = [
-                RateJob::new(cfg.jobs[0], CcVariant::Fair),
-                RateJob::new(cfg.jobs[1], CcVariant::Fair),
-            ];
-            jobs[1].start_offset = cfg.stagger;
-            let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, rec);
-            sim.run_until(Time::ZERO + fork_at);
-            sim
-        }
-    };
-    if let Some(v) = variant {
-        sim.set_cc_variant(0, v);
+impl Prefix for Fig1Config {
+    type Snapshot = RateSnapshot;
+    type Sim<Q: Recorder> = RateSimulator<Q>;
+
+    /// Both jobs on fair DCQCN, `J2` at the configured stagger.
+    fn start<Q: Recorder>(&self, rec: Q) -> RateSimulator<Q> {
+        let mut jobs = [
+            RateJob::new(self.jobs[0], CcVariant::Fair),
+            RateJob::new(self.jobs[1], CcVariant::Fair),
+        ];
+        jobs[1].start_offset = self.stagger;
+        RateSimulator::with_recorder(self.sim.clone(), &jobs, rec)
     }
-    chaos::apply_rate_at_barrier(&cfg.chaos, &mut sim, 2, fork_at, remaining);
-    let budget = per_iter * ((cfg.iterations as u64 * 4 + 40) * chaos::budget_slack(&cfg.chaos));
-    let done = sim.run_until_iterations(cfg.iterations, budget);
-    assert!(
-        done,
-        "fig1: forked cell did not finish {} iterations",
-        cfg.iterations
-    );
-    collect_scenario(cfg, &sim)
+
+    fn key(&self) -> String {
+        format!(
+            "fig1-prefix|{:?}|{:?}|{:?}",
+            self.jobs, self.sim, self.stagger
+        )
+    }
 }
 
 /// Runs the variant matrix forked from a shared **fair** prefix: both
@@ -522,45 +480,25 @@ pub fn run_traced_forked<R: ForkableRecorder>(
             }),
         ),
     ];
-    let mut out = if replay {
-        parallel::map_traced(&mut rec, &scenarios, |_, &(name, variant), fork| {
+    let span = run_span(cfg);
+    let mut out = forkcache::map_from_prefix(
+        &mut rec,
+        &scenarios,
+        cfg,
+        fork_at,
+        replay,
+        |&(name, variant), barrier, fork| {
             if R::ENABLED {
                 fork.record(Time::ZERO, Event::Scenario { name: name.into() });
             }
-            run_forked_cell(cfg, variant, fork_at, None, fork)
-        })
-    } else {
-        let prefix = || {
-            let key = simtime::hash::config_hash(&format!(
-                "fig1-prefix|{:?}|{:?}|{:?}|{:?}",
-                cfg.jobs, cfg.sim, cfg.stagger, fork_at
-            ));
-            crate::forkcache::get_or_build(key, || {
-                let mut jobs = [
-                    RateJob::new(cfg.jobs[0], CcVariant::Fair),
-                    RateJob::new(cfg.jobs[1], CcVariant::Fair),
-                ];
-                jobs[1].start_offset = cfg.stagger;
-                let mut prefix_rec = BufferRecorder::new();
-                let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, &mut prefix_rec);
-                sim.run_until(Time::ZERO + fork_at);
-                let snap = sim.snapshot().expect("run_until leaves a barrier");
-                drop(sim);
-                (snap, prefix_rec)
-            })
-        };
-        parallel::map_forked(
-            &mut rec,
-            &scenarios,
-            prefix,
-            |_, &(name, variant), shared, fork| {
-                if R::ENABLED {
-                    fork.record(Time::ZERO, Event::Scenario { name: name.into() });
+            let sim = barrier.run(fork, &span, &cfg.chaos, |sim| {
+                if let Some(v) = variant {
+                    sim.set_cc_variant(0, v);
                 }
-                run_forked_cell(cfg, variant, fork_at, Some(&**shared), fork)
-            },
-        )
-    };
+            });
+            collect_scenario(cfg, &sim)
+        },
+    );
     let unfair = out.pop().expect("two scenarios");
     let fair = out.pop().expect("two scenarios");
     Fig1Result { fair, unfair }
@@ -569,6 +507,7 @@ pub fn run_traced_forked<R: ForkableRecorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::BufferRecorder;
 
     fn quick_cfg() -> Fig1Config {
         Fig1Config {

@@ -12,6 +12,7 @@ use crate::metrics::{JobStats, Speedup};
 use crate::parallel;
 use geometry::{solve, GeometryError, Profile, SolverConfig};
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
+use netsim::Engine;
 use scheduler::{gates_from_rotations, gating_profiles};
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};

@@ -22,6 +22,7 @@ use crate::metrics::{text_table, JobStats};
 use crate::parallel;
 use geometry::{solve_pair, SolverConfig, Verdict};
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
+use netsim::Engine;
 use scheduler::analytic_profile;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};

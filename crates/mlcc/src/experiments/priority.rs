@@ -10,6 +10,7 @@
 use crate::metrics::{JobStats, Speedup};
 use crate::parallel;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
+use netsim::Engine;
 use scheduler::assign_priorities;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};

@@ -30,6 +30,7 @@ use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::shard::run_epochs;
 use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{ForkableRecorder, Recorder, RemapRecorder};
 use topology::{partition, subgraph, LinkId, NodeKind, ShardPlan, Topology};
@@ -60,14 +61,16 @@ pub struct ShardConfig {
 
 impl ShardConfig {
     /// The paper-scale configuration behind `BENCH_shard.json`: four
-    /// link-disjoint groups of a mixed-model job population.
+    /// link-disjoint groups of a mixed-model job population. The budget
+    /// lets all 128 jobs per bottleneck finish their 4 iterations, so the
+    /// bench times completed runs.
     pub fn paper_scale() -> ShardConfig {
         ShardConfig {
             groups: 4,
             jobs_per_group: 128,
             iterations: 4,
             warmup: 1,
-            budget: Dur::from_secs(30),
+            budget: Dur::from_secs(120),
             chaos: ChaosConfig::none(),
             fork_at: None,
         }
@@ -114,34 +117,6 @@ pub struct FluidScenario {
     pub plan: ShardPlan,
 }
 
-/// Applies `chaos` to a fluid-engine run lasting roughly `horizon` — the
-/// fluid counterpart of [`chaos::apply_rate`]: per-job phase noise, late
-/// arrivals, and departures land on `jobs`; per-link capacity schedules
-/// land on `cfg`. Signal loss is a DCQCN marking artifact and does not
-/// apply to the fluid abstraction. Chaos is keyed by **global** job index,
-/// so a shard inherits exactly the perturbations its jobs would see in an
-/// unsharded run.
-pub fn apply_fluid(
-    chaos: &ChaosConfig,
-    jobs: &mut [FluidJob],
-    cfg: &mut FluidConfig,
-    links: usize,
-    horizon: Dur,
-) {
-    if chaos.is_none() {
-        return;
-    }
-    let plan = chaos.compile(jobs.len(), links, horizon);
-    for (i, job) in jobs.iter_mut().enumerate() {
-        job.noise = plan.noise[i];
-        job.start_offset += plan.arrivals[i];
-        job.depart_at = plan.departures[i];
-    }
-    if plan.link_schedules.iter().any(|s| !s.is_identity()) {
-        cfg.link_schedules = plan.link_schedules;
-    }
-}
-
 /// Every link each job's flows traverse — the conflict-graph input to
 /// [`topology::partition`].
 pub fn job_link_sets(jobs: &[FluidJob]) -> Vec<Vec<LinkId>> {
@@ -182,14 +157,12 @@ pub fn build_fluid(cfg: &ShardConfig) -> FluidScenario {
         }
     }
     let mut fluid_cfg = FluidConfig::fair();
-    let horizon = cfg.budget * chaos::budget_slack(&cfg.chaos);
-    apply_fluid(
-        &cfg.chaos,
-        &mut jobs,
-        &mut fluid_cfg,
-        topo.link_count(),
-        horizon,
-    );
+    let links = topo.link_count();
+    if let Some(plan) = chaos::apply_to_jobs(&cfg.chaos, &mut jobs, links, budget(cfg)) {
+        if plan.link_schedules.iter().any(|s| !s.is_identity()) {
+            fluid_cfg.link_schedules = plan.link_schedules;
+        }
+    }
     let plan = partition(&job_link_sets(&jobs));
     FluidScenario {
         topology: topo,
@@ -217,11 +190,8 @@ pub fn run_fluid_unsharded<R: Recorder>(
 ) -> (ShardRunResult, R) {
     let mut sim =
         FluidSimulator::with_recorder(&scn.topology, scn.fluid_cfg.clone(), &scn.jobs, rec);
-    let budget = cfg.budget * chaos::budget_slack(&cfg.chaos);
-    let completed = sim.run_until_iterations(cfg.iterations, budget);
-    let stats = (0..scn.jobs.len())
-        .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
-        .collect();
+    let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
+    let stats = chaos::job_stats(&sim, cfg.warmup);
     (ShardRunResult { stats, completed }, sim.into_recorder())
 }
 
@@ -236,8 +206,7 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
     rec: &mut R,
     threads: usize,
 ) -> ShardRunResult {
-    let budget = cfg.budget * chaos::budget_slack(&cfg.chaos);
-    let mut sims: Vec<FluidSimulator<RemapRecorder<R::Fork>>> = scn
+    let sims: Vec<FluidSimulator<RemapRecorder<R::Fork>>> = scn
         .plan
         .components()
         .iter()
@@ -284,34 +253,60 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
             FluidSimulator::with_recorder(&sub, cfg, &jobs, fork)
         })
         .collect();
-    if let Some(at) = cfg.fork_at {
-        let barrier = Time::ZERO + at;
-        sims = sims
-            .into_iter()
-            .map(|mut sim| {
-                sim.run_until(barrier);
-                let snap = sim.snapshot().expect("shard fork barrier");
-                let fork = sim.into_recorder();
-                FluidSimulator::restore(snap, fork).expect("shard restore")
-            })
-            .collect();
-    }
-    let completed = run_epochs(&mut sims, threads, cfg.iterations, budget, None);
+    let (per_shard, completed) = run_shards(sims, cfg, rec, threads, FluidSimulator::into_recorder);
     let mut stats: Vec<Option<JobStats>> = vec![None; scn.jobs.len()];
-    for (c, comp) in scn.plan.components().iter().enumerate() {
-        for (local, &global) in comp.iter().enumerate() {
-            stats[global] = Some(chaos::stats_tolerant(sims[c].progress(local), cfg.warmup));
+    for (comp, shard) in scn.plan.components().iter().zip(per_shard) {
+        for (&global, s) in comp.iter().zip(shard) {
+            stats[global] = Some(s);
         }
     }
-    rec.join_merged(
-        sims.into_iter()
-            .map(|s| s.into_recorder().into_inner())
-            .collect(),
-    );
     ShardRunResult {
         stats: stats.into_iter().map(Option::unwrap).collect(),
         completed,
     }
+}
+
+/// Runs one engine per shard on up to `threads` worker threads, after
+/// round-tripping each through snapshot/restore at `cfg.fork_at` when set,
+/// and merges the shards' recordings into `rec` deterministically.
+/// Returns every shard's job statistics and whether all shards finished.
+fn run_shards<R, E>(
+    mut sims: Vec<E>,
+    cfg: &ShardConfig,
+    rec: &mut R,
+    threads: usize,
+    into_recorder: fn(E) -> RemapRecorder<R::Fork>,
+) -> (Vec<Vec<JobStats>>, bool)
+where
+    R: ForkableRecorder,
+    E: Engine + Send + Snapshottable<RemapRecorder<R::Fork>>,
+{
+    if let Some(at) = cfg.fork_at {
+        sims = sims
+            .into_iter()
+            .map(|mut sim| {
+                sim.run_until(Time::ZERO + at);
+                let snap = sim.snapshot().expect("shard fork barrier");
+                E::restore(snap, into_recorder(sim)).expect("shard restore")
+            })
+            .collect();
+    }
+    let completed = run_epochs(&mut sims, threads, cfg.iterations, budget(cfg));
+    let stats = sims
+        .iter()
+        .map(|s| chaos::job_stats(s, cfg.warmup))
+        .collect();
+    rec.join_merged(
+        sims.into_iter()
+            .map(|s| into_recorder(s).into_inner())
+            .collect(),
+    );
+    (stats, completed)
+}
+
+/// Simulated-time budget of every run, scaled up under chaos.
+fn budget(cfg: &ShardConfig) -> Dur {
+    cfg.budget * chaos::budget_slack(&cfg.chaos)
 }
 
 /// The packet-engine side of the scenario: `groups` replicas of the
@@ -375,34 +370,22 @@ pub fn build_packet(cfg: &ShardConfig) -> PacketScenario {
         train_packets: 64,
         ..PacketSimConfig::default()
     };
-    let total = cfg.groups * mix.len();
-    let horizon = cfg.budget * chaos::budget_slack(&cfg.chaos);
-    let plan = if cfg.chaos.is_none() {
-        None
-    } else {
-        Some(cfg.chaos.compile(total, cfg.groups, horizon))
-    };
-    let mut configs = Vec::new();
-    let mut groups = Vec::new();
-    for g in 0..cfg.groups {
-        let mut jobs = mix.clone();
-        let mut pc = base.clone();
-        if let Some(plan) = &plan {
-            for (local, job) in jobs.iter_mut().enumerate() {
-                let i = g * mix.len() + local;
-                job.noise = plan.noise[i];
-                job.start_offset += plan.arrivals[i];
-                job.depart_at = plan.departures[i];
+    let mut jobs: Vec<PacketJob> = (0..cfg.groups).flat_map(|_| mix.clone()).collect();
+    let plan = chaos::apply_to_jobs(&cfg.chaos, &mut jobs, cfg.groups, budget(cfg));
+    let configs = (0..cfg.groups)
+        .map(|g| {
+            let mut pc = base.clone();
+            if let Some(plan) = &plan {
+                match plan.link_schedules.get(g) {
+                    Some(s) if !s.is_identity() => pc.capacity_schedule = Some(s.clone()),
+                    _ => {}
+                }
+                pc.signal_loss = plan.signal_loss;
             }
-            match plan.link_schedules.get(g) {
-                Some(s) if !s.is_identity() => pc.capacity_schedule = Some(s.clone()),
-                _ => {}
-            }
-            pc.signal_loss = plan.signal_loss;
-        }
-        configs.push(pc);
-        groups.push(jobs);
-    }
+            pc
+        })
+        .collect();
+    let groups = jobs.chunks(mix.len()).map(<[PacketJob]>::to_vec).collect();
     let link_sets: Vec<Vec<LinkId>> = (0..cfg.groups)
         .flat_map(|g| std::iter::repeat_n(vec![LinkId(g as u32)], mix.len()))
         .collect();
@@ -422,9 +405,8 @@ pub fn run_packet_sharded<R: ForkableRecorder>(
     rec: &mut R,
     threads: usize,
 ) -> ShardRunResult {
-    let budget = cfg.budget * chaos::budget_slack(&cfg.chaos);
     let mix_len = scn.groups[0].len();
-    let mut sims: Vec<PacketSimulator<RemapRecorder<R::Fork>>> = scn
+    let sims: Vec<PacketSimulator<RemapRecorder<R::Fork>>> = scn
         .groups
         .iter()
         .enumerate()
@@ -434,31 +416,12 @@ pub fn run_packet_sharded<R: ForkableRecorder>(
             PacketSimulator::with_recorder(scn.configs[g].clone(), jobs, fork)
         })
         .collect();
-    if let Some(at) = cfg.fork_at {
-        let barrier = Time::ZERO + at;
-        sims = sims
-            .into_iter()
-            .map(|mut sim| {
-                sim.run_until(barrier);
-                let snap = sim.snapshot().expect("packet shard fork barrier");
-                let fork = sim.into_recorder();
-                PacketSimulator::restore(snap, fork).expect("packet shard restore")
-            })
-            .collect();
+    let (per_shard, completed) =
+        run_shards(sims, cfg, rec, threads, PacketSimulator::into_recorder);
+    ShardRunResult {
+        stats: per_shard.into_iter().flatten().collect(),
+        completed,
     }
-    let completed = run_epochs(&mut sims, threads, cfg.iterations, budget, None);
-    let mut stats = Vec::new();
-    for sim in &sims {
-        for local in 0..sim.num_jobs() {
-            stats.push(chaos::stats_tolerant(sim.progress(local), cfg.warmup));
-        }
-    }
-    rec.join_merged(
-        sims.into_iter()
-            .map(|s| s.into_recorder().into_inner())
-            .collect(),
-    );
-    ShardRunResult { stats, completed }
 }
 
 /// Shard-plan statistics for `RunSummary`/`HISTORY.jsonl` correlation.

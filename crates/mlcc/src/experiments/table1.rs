@@ -21,6 +21,7 @@ use dcqcn::CcVariant;
 use faults::ChaosConfig;
 use geometry::{solve, SolverConfig, Verdict};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use scheduler::analytic_profile;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
@@ -213,9 +214,7 @@ fn mean_iteration_times<R: Recorder>(
                 * chaos::budget_slack(&cfg.chaos)),
     );
     assert!(ok, "table1: group did not finish");
-    (0..group.len())
-        .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
-        .collect()
+    chaos::job_stats(&sim, cfg.warmup)
 }
 
 /// Runs one group.

@@ -10,6 +10,7 @@
 //! builds.
 
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur};
 use topology::builders::dumbbell;
 use workload::{JobSpec, Model};

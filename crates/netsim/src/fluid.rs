@@ -21,10 +21,11 @@
 //!   geometry solver's rotation angles.
 
 use crate::alloc::{strict_priority_into, weighted_max_min_into, AllocScratch, FlowDemand};
+use crate::engine::Engine;
 use crate::snapshot::{
     check_barrier, check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION,
 };
-use dcqcn::CcVariant;
+use dcqcn::{CcVariant, SignalLoss};
 use eventsim::{EventQueue, TimeSeries};
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{CcState, Event, NoopRecorder, Phase, Recorder, SpanTracker};
@@ -573,21 +574,6 @@ impl<R: Recorder> FluidSimulator<R> {
         self.rec
     }
 
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Iteration bookkeeping of job `j`.
-    pub fn progress(&self, j: usize) -> &JobProgress {
-        &self.jobs[j].progress
-    }
-
-    /// Number of jobs in the simulation (including departed ones).
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Per-job aggregate throughput trace (Gbps), sampled at every
     /// allocation change.
     pub fn throughput_trace(&self, j: usize) -> &TimeSeries {
@@ -1042,21 +1028,10 @@ impl<R: Recorder> FluidSimulator<R> {
         }
     }
 
-    /// Runs until `t_stop`.
-    pub fn run_until(&mut self, t_stop: Time) {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let (allocs0, popped0) = (self.allocs, self.events_popped);
-        self.run_until_inner(t_stop);
-        if let Some(t0) = wall {
-            self.rec
-                .span("netsim.fluid", t0.elapsed(), self.events_popped - popped0);
-            self.rec
-                .count("fluid_allocations_total", self.allocs - allocs0);
-        }
+    /// Runs for a span of simulated time.
+    pub fn run_for(&mut self, span: Dur) {
+        let stop = self.now + span;
+        self.run_until(stop);
     }
 
     fn run_until_inner(&mut self, t_stop: Time) {
@@ -1102,61 +1077,71 @@ impl<R: Recorder> FluidSimulator<R> {
             }
         }
     }
+}
 
-    /// Runs for a span of simulated time.
-    pub fn run_for(&mut self, span: Dur) {
-        let stop = self.now + span;
-        self.run_until(stop);
+impl<R: Recorder> Engine for FluidSimulator<R> {
+    fn now(&self) -> Time {
+        self.now
     }
 
-    /// Runs until every job completed `n` iterations or `max_span` elapses;
-    /// returns `true` on success.
-    pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let reached = |jobs: &[JState]| {
-            jobs.iter()
-                .all(|j| j.departed || j.progress.completed() >= n)
+    fn num_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn progress(&self, j: usize) -> &JobProgress {
+        &self.jobs[j].progress
+    }
+
+    fn departed(&self, j: usize) -> bool {
+        self.jobs[j].departed
+    }
+
+    fn num_links(&self) -> usize {
+        self.capacities.len()
+    }
+
+    fn run_until(&mut self, t_stop: Time) {
+        let wall = if R::ENABLED {
+            Some(std::time::Instant::now())
+        } else {
+            None
         };
+        let (allocs0, popped0) = (self.allocs, self.events_popped);
+        self.run_until_inner(t_stop);
+        if let Some(t0) = wall {
+            self.rec
+                .span("netsim.fluid", t0.elapsed(), self.events_popped - popped0);
+            self.rec
+                .count("fluid_allocations_total", self.allocs - allocs0);
+        }
+    }
+
+    fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
         let stop = self.now + max_span;
         while self.now < stop {
-            if reached(&self.jobs) {
+            if self.done(n) {
                 return true;
             }
             // Run in slices so we can check the predicate.
             let slice_end = (self.now + Dur::from_millis(10)).min(stop);
             self.run_until(slice_end);
         }
-        reached(&self.jobs)
+        self.done(n)
     }
 
-    /// Whether job `j` has departed the cluster.
-    pub fn departed(&self, j: usize) -> bool {
-        self.jobs[j].departed
-    }
-
-    /// Replaces job `i`'s phase-duration noise. Takes effect at the next
-    /// iteration rollover; the in-flight iteration keeps its drawn scales.
-    /// Used by forked sweeps to perturb a cell after a shared clean prefix.
-    pub fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
+    fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
         self.jobs[i].progress.set_noise(noise);
     }
 
-    /// Replaces job `i`'s departure deadline. A deadline at or before the
-    /// current clock takes effect at the job's next compute-side poll.
-    pub fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
+    fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
         self.jobs[i].depart_at = at;
     }
 
-    /// Installs per-link fault schedules on a running simulator (one entry
-    /// per topology link). Intended for forked sweeps: the shared prefix
-    /// runs without schedules, and each fork installs its cell's schedules
-    /// at the barrier. Schedules are evaluated in absolute simulated time,
-    /// so a window before the current clock has already "happened" silently.
-    ///
-    /// # Panics
-    /// Panics if `schedules` length mismatches the link count, or if the
-    /// simulator already has schedules installed (their pending change
-    /// events cannot be retracted).
-    pub fn set_link_schedules(&mut self, schedules: Vec<LinkSchedule>) {
+    fn set_link_schedules(&mut self, schedules: Vec<LinkSchedule>) {
+        if schedules.iter().all(|s| s.is_identity()) {
+            return;
+        }
+        // Installed schedules' pending change events cannot be retracted.
         assert_eq!(
             schedules.len(),
             self.capacities.len(),
@@ -1166,9 +1151,6 @@ impl<R: Recorder> FluidSimulator<R> {
             self.link_schedules.is_empty(),
             "set_link_schedules: schedules already installed"
         );
-        if schedules.iter().all(|s| s.is_identity()) {
-            return;
-        }
         self.base_capacities = self.capacities.clone();
         self.link_schedules = schedules;
         let now = self.now;
@@ -1194,6 +1176,8 @@ impl<R: Recorder> FluidSimulator<R> {
             }
         }
     }
+
+    fn set_signal_loss(&mut self, _loss: Option<SignalLoss>) {}
 }
 
 /// Complete captured state of a [`FluidSimulator`] at a simulated-time

@@ -1,15 +1,16 @@
 //! Flow-level network simulation engines.
 //!
-//! Two engines share one purpose — measuring training-iteration times of
-//! jobs contending on links — at two levels of realism:
+//! Three engines share one purpose — measuring training-iteration times
+//! of jobs contending on links — at three levels of realism:
 //!
 //! * [`rate`] — the **rate-based DCQCN engine**: a single bottleneck link
-//!   with a RED/ECN marking queue, stepped at microsecond resolution, with
-//!   every flow running the full DCQCN reaction-point state machine from
-//!   the [`dcqcn`] crate. Congestion behaviour (fair sharing, the
-//!   unfairness knob `T`, the adaptive `R_AI` variant) is *emergent*, which
-//!   is what reproduces the paper's §2 observation: unfairness slides the
-//!   phases of compatible jobs apart. Drives Fig. 1, Fig. 2, Table 1 and
+//!   with a RED/ECN marking queue, stepped on a fixed 5 µs grid (with an
+//!   exact fast path over quiet steps), with every flow running the full
+//!   DCQCN reaction-point state machine from the [`dcqcn`] crate.
+//!   Congestion behaviour (fair sharing, the unfairness knob `T`, the
+//!   adaptive `R_AI` variant) is *emergent*, which is what reproduces the
+//!   paper's §2 observation: unfairness slides the phases of compatible
+//!   jobs apart. Drives Fig. 1, Fig. 2, Table 1, the controller zoo and
 //!   the §4.i experiments.
 //!
 //! * [`fluid`] — the **event-driven fluid engine**: instantaneous
@@ -17,12 +18,19 @@
 //!   arbitrary [`topology::Topology`], advancing directly from flow event
 //!   to flow event. Idealized and fast; drives the mechanism experiments
 //!   (§4.ii priority queues, §4.iii flow scheduling via comm-phase gates)
-//!   and the cluster-scale scheduler studies (§5).
+//!   and the cluster-scale scheduler and sharding studies (§5).
 //!
-//! A third engine, [`packet`], simulates DCQCN **per packet** (paced
-//! senders, per-packet ECN marking, CNP round trips) and serves as the
-//! ground truth the fluid abstraction is validated against on short
-//! scenarios.
+//! * [`packet`] — the **packet engine**: DCQCN per packet (paced senders,
+//!   per-packet ECN marking, CNP round trips) on one bottleneck; the
+//!   ground truth the rate and fluid abstractions are validated against.
+//!
+//! All three implement [`Engine`], the control surface experiments drive
+//! them through: advance the clock, read each job's iteration
+//! bookkeeping, and perturb a running simulation (phase noise,
+//! departures, link capacity schedules, signal loss). All three also
+//! implement [`snapshot::Snapshottable`], so a run can fork from a shared
+//! prefix, and [`shard::run_epochs`] advances independent instances of
+//! any of them across worker threads.
 //!
 //! The shared allocation mathematics (progressive-filling max-min, weighted
 //! variant, strict priorities) lives in [`alloc`] as pure, independently
@@ -32,8 +40,11 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+mod engine;
 pub mod fluid;
 pub mod packet;
 pub mod rate;
 pub mod shard;
 pub mod snapshot;
+
+pub use engine::Engine;

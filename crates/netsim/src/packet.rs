@@ -25,6 +25,7 @@
 //! airtime never exceeds the NP's CNP interval), and `train_packets = 1`
 //! reproduces the per-packet engine event-for-event and bit-for-bit.
 
+use crate::engine::{single_link, Engine};
 use crate::snapshot::{
     check_barrier, check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION,
 };
@@ -383,11 +384,6 @@ impl<R: Recorder> PacketSimulator<R> {
         }
     }
 
-    /// Whether flow `i` has departed the cluster.
-    pub fn departed(&self, i: usize) -> bool {
-        self.flows[i].departed
-    }
-
     /// The bottleneck capacity in bps as of `now`, honouring any fault
     /// schedule. Emits a `LinkCapacity` event when the observed multiplier
     /// changes (capacity is sampled at service start, not on a timer, so
@@ -426,21 +422,6 @@ impl<R: Recorder> PacketSimulator<R> {
     /// shard's fork is recovered for the ordered merge).
     pub fn into_recorder(self) -> R {
         self.rec
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.events.now()
-    }
-
-    /// Job bookkeeping for flow `i`.
-    pub fn progress(&self, i: usize) -> &JobProgress {
-        &self.flows[i].progress
-    }
-
-    /// Number of jobs (flows) in the simulation (including departed ones).
-    pub fn num_jobs(&self) -> usize {
-        self.flows.len()
     }
 
     /// Total bytes delivered for flow `i`.
@@ -762,9 +743,30 @@ impl<R: Recorder> PacketSimulator<R> {
             }
         }
     }
+}
 
-    /// Runs until `t_stop`.
-    pub fn run_until(&mut self, t_stop: Time) {
+impl<R: Recorder> Engine for PacketSimulator<R> {
+    fn now(&self) -> Time {
+        self.events.now()
+    }
+
+    fn num_jobs(&self) -> usize {
+        self.flows.len()
+    }
+
+    fn progress(&self, i: usize) -> &JobProgress {
+        &self.flows[i].progress
+    }
+
+    fn departed(&self, i: usize) -> bool {
+        self.flows[i].departed
+    }
+
+    fn num_links(&self) -> usize {
+        1
+    }
+
+    fn run_until(&mut self, t_stop: Time) {
         let wall = if R::ENABLED {
             Some(std::time::Instant::now())
         } else {
@@ -783,9 +785,7 @@ impl<R: Recorder> PacketSimulator<R> {
         }
     }
 
-    /// Runs until every job completed `n` iterations or `max_span`
-    /// elapses; returns `true` on success.
-    pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
+    fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
         let wall = if R::ENABLED {
             Some(std::time::Instant::now())
         } else {
@@ -793,17 +793,12 @@ impl<R: Recorder> PacketSimulator<R> {
         };
         let before = self.events_processed;
         let stop = self.now() + max_span;
-        let reached = |flows: &[FlowState]| {
-            flows
-                .iter()
-                .all(|f| f.departed || f.progress.completed() >= n)
-        };
         let done = loop {
-            if reached(&self.flows) {
+            if self.done(n) {
                 break true;
             }
             let Some(e) = self.events.pop_until(stop) else {
-                break reached(&self.flows);
+                break self.done(n);
             };
             let now = e.at;
             self.events_processed += 1;
@@ -817,27 +812,22 @@ impl<R: Recorder> PacketSimulator<R> {
         done
     }
 
-    /// Injects (or clears) per-iteration phase noise for flow `i`, taking
-    /// effect at its next iteration rollover.
-    pub fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
+    fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
         self.flows[i].progress.set_noise(noise);
     }
 
-    /// Schedules flow `i` to leave at the first compute-side poll at/after
-    /// `at` (or cancels a pending departure).
-    pub fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
+    fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
         self.flows[i].depart_at = at;
     }
 
-    /// Replaces the bottleneck's capacity schedule from now on (sampled at
-    /// each train's service start).
-    pub fn set_capacity_schedule(&mut self, schedule: Option<LinkSchedule>) {
-        self.cfg.capacity_schedule = schedule;
+    // Sampled at each train's service start.
+    fn set_link_schedules(&mut self, schedules: Vec<LinkSchedule>) {
+        if let Some(s) = single_link(schedules) {
+            self.cfg.capacity_schedule = Some(s);
+        }
     }
 
-    /// Replaces the signal-loss profile and reseeds the chaos RNG from it,
-    /// exactly as construction would have.
-    pub fn set_signal_loss(&mut self, loss: Option<SignalLoss>) {
+    fn set_signal_loss(&mut self, loss: Option<SignalLoss>) {
         self.cfg.signal_loss = loss;
         self.chaos_rng = Rng::new(loss.map_or(0, |l| l.seed));
     }

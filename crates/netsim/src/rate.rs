@@ -28,6 +28,7 @@
 //! Scope: one bottleneck link (the paper's experiments are all
 //! single-bottleneck; multi-link topologies are the fluid engine's job).
 
+use crate::engine::{single_link, Engine};
 use crate::snapshot::{check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION};
 use dcqcn::{
     CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, RpStage, SignalLoss,
@@ -367,26 +368,6 @@ impl<R: Recorder> RateSimulator<R> {
     /// shard's fork is recovered for the ordered merge).
     pub fn into_recorder(self) -> R {
         self.rec
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Iteration bookkeeping of job `i`.
-    pub fn progress(&self, i: usize) -> &JobProgress {
-        &self.jobs[i].progress
-    }
-
-    /// Number of jobs in the simulation (including departed ones).
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` once churn has removed job `i` from the cluster.
-    pub fn departed(&self, i: usize) -> bool {
-        self.jobs[i].departed
     }
 
     /// Per-job delivered-throughput trace (Gbps), if tracing is enabled.
@@ -850,43 +831,6 @@ impl<R: Recorder> RateSimulator<R> {
         self.report_run(wall, steps0, quiet);
     }
 
-    /// Runs until every job has completed `n` iterations, or `max_span`
-    /// elapses. Returns `true` if all jobs reached `n`.
-    pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = R::ENABLED.then(std::time::Instant::now);
-        let steps0 = self.steps;
-        let end = self.now + max_span;
-        let mut quiet = 0;
-        // Departed jobs will never reach `n`; they no longer gate the run.
-        let reached = |jobs: &[JobState]| {
-            jobs.iter()
-                .all(|j| j.departed || j.progress.completed() >= n)
-        };
-        // The quiet path completes no iteration, so checking before each
-        // full step or quiet stretch is checking before every grid step.
-        let mut done = false;
-        while self.now < end {
-            if reached(&self.jobs) {
-                done = true;
-                break;
-            }
-            let k = self.run_quiet(end);
-            if k == 0 {
-                self.step();
-            }
-            quiet += k;
-        }
-        self.report_run(wall, steps0, quiet);
-        done || reached(&self.jobs)
-    }
-
-    /// Runs until the clock reaches (or first steps past) `t`. A no-op if
-    /// the clock is already there — the natural way to drive the engine to
-    /// a fork barrier.
-    pub fn run_until(&mut self, t: Time) {
-        self.run_for(t.saturating_since(self.now));
-    }
-
     /// Replaces job `i`'s congestion-control variant with a freshly built
     /// controller, as if the job restarted its transport (rate resets to
     /// line rate on the next phase restart; CNP pacing state clears).
@@ -899,29 +843,71 @@ impl<R: Recorder> RateSimulator<R> {
         js.adaptive = variant.wants_progress();
         js.np.reset();
     }
+}
 
-    /// Injects (or clears) per-iteration phase noise for job `i`, taking
-    /// effect at its next iteration rollover.
-    pub fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
+impl<R: Recorder> Engine for RateSimulator<R> {
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn num_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn progress(&self, i: usize) -> &JobProgress {
+        &self.jobs[i].progress
+    }
+
+    fn departed(&self, i: usize) -> bool {
+        self.jobs[i].departed
+    }
+
+    fn num_links(&self) -> usize {
+        1
+    }
+
+    fn run_until(&mut self, t: Time) {
+        self.run_for(t.saturating_since(self.now));
+    }
+
+    fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let steps0 = self.steps;
+        let end = self.now + max_span;
+        let mut quiet = 0;
+        // The quiet path completes no iteration, so checking before each
+        // full step or quiet stretch is checking before every grid step.
+        let mut done = false;
+        while self.now < end {
+            if self.done(n) {
+                done = true;
+                break;
+            }
+            let k = self.run_quiet(end);
+            if k == 0 {
+                self.step();
+            }
+            quiet += k;
+        }
+        self.report_run(wall, steps0, quiet);
+        done || self.done(n)
+    }
+
+    fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
         self.jobs[i].progress.set_noise(noise);
     }
 
-    /// Schedules job `i` to leave the cluster at the first compute-phase
-    /// instant at/after `at` (or cancels a pending departure). Ignored if
-    /// the job already departed.
-    pub fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
+    fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
         self.jobs[i].depart_at = at;
     }
 
-    /// Replaces the bottleneck's capacity schedule (fault-injection
-    /// degradation windows and flaps) from now on.
-    pub fn set_capacity_schedule(&mut self, schedule: Option<LinkSchedule>) {
-        self.cfg.capacity_schedule = schedule;
+    fn set_link_schedules(&mut self, schedules: Vec<LinkSchedule>) {
+        if let Some(s) = single_link(schedules) {
+            self.cfg.capacity_schedule = Some(s);
+        }
     }
 
-    /// Replaces the signal-loss profile and reseeds the chaos RNG from it,
-    /// exactly as construction would have.
-    pub fn set_signal_loss(&mut self, loss: Option<SignalLoss>) {
+    fn set_signal_loss(&mut self, loss: Option<SignalLoss>) {
         self.cfg.signal_loss = loss;
         self.chaos_rng = Rng::new(loss.map_or(0, |l| l.seed));
     }

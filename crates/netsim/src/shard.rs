@@ -1,15 +1,12 @@
-//! Sharded execution: advancing several independent engine instances in
-//! lockstep epochs across worker threads.
+//! Sharded execution: advancing several independent engine instances
+//! across worker threads.
 //!
 //! A shard is one engine instance simulating one link-disjoint component of
 //! a scenario (see `topology::partition`). Because components share no
 //! links, no event in one shard can ever influence another — in
 //! conservative parallel-DES terms the cross-shard lookahead is infinite —
-//! so the default epoch policy runs each shard to the deadline in a single
-//! pass. Bounded epochs (`epoch: Some(..)`) insert a barrier every fixed
-//! slice of simulated time; they exist for engines whose shards *could*
-//! exchange state at a boundary (and to prove, in tests, that the barrier
-//! placement does not change output).
+//! so each shard runs to the deadline in a single pass, with no barrier
+//! between shards.
 //!
 //! Determinism: each shard is a deterministic simulation, shards never
 //! communicate, and the caller merges per-shard recordings by a key that
@@ -18,133 +15,41 @@
 //! affect output — `--shards 8` and `--shards 1` produce byte-identical
 //! streams.
 
-use crate::fluid::FluidSimulator;
-use crate::packet::PacketSimulator;
-use crate::rate::RateSimulator;
+use crate::Engine;
 use simtime::{Dur, Time};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use telemetry::Recorder;
-
-/// An engine instance that can be advanced in bounded slices — the least
-/// common denominator the lockstep executor needs from the fluid, rate,
-/// and packet simulators.
-pub trait ShardEngine: Send {
-    /// Advances until every job has completed `iterations` iterations or
-    /// `span` of simulated time elapses, whichever comes first. Returns
-    /// `true` once all jobs are done. Must be resumable: repeated calls
-    /// with smaller spans traverse the exact same event sequence as one
-    /// call with the total span.
-    fn run_slice(&mut self, iterations: usize, span: Dur) -> bool;
-
-    /// Current simulation time of this shard.
-    fn now(&self) -> Time;
-
-    /// `true` once every (non-departed) job completed `iterations`.
-    fn done(&self, iterations: usize) -> bool;
-}
-
-impl<R: Recorder + Send> ShardEngine for FluidSimulator<R> {
-    fn run_slice(&mut self, iterations: usize, span: Dur) -> bool {
-        self.run_until_iterations(iterations, span)
-    }
-
-    fn now(&self) -> Time {
-        FluidSimulator::now(self)
-    }
-
-    fn done(&self, iterations: usize) -> bool {
-        (0..self.num_jobs()).all(|j| self.departed(j) || self.progress(j).completed() >= iterations)
-    }
-}
-
-impl<R: Recorder + Send> ShardEngine for RateSimulator<R> {
-    fn run_slice(&mut self, iterations: usize, span: Dur) -> bool {
-        self.run_until_iterations(iterations, span)
-    }
-
-    fn now(&self) -> Time {
-        RateSimulator::now(self)
-    }
-
-    fn done(&self, iterations: usize) -> bool {
-        (0..self.num_jobs()).all(|i| self.departed(i) || self.progress(i).completed() >= iterations)
-    }
-}
-
-impl<R: Recorder + Send> ShardEngine for PacketSimulator<R> {
-    fn run_slice(&mut self, iterations: usize, span: Dur) -> bool {
-        self.run_until_iterations(iterations, span)
-    }
-
-    fn now(&self) -> Time {
-        PacketSimulator::now(self)
-    }
-
-    fn done(&self, iterations: usize) -> bool {
-        (0..self.num_jobs()).all(|i| self.departed(i) || self.progress(i).completed() >= iterations)
-    }
-}
 
 /// Advances every shard until all of its jobs complete `iterations`
 /// iterations or the shard has simulated `deadline` past where it started,
 /// using up to `threads` worker threads. Returns `true` if every shard
-/// finished its iterations within the deadline.
-///
-/// `epoch: None` runs each shard to its deadline in one slice — correct
-/// whenever shards are link-disjoint (infinite lookahead). `epoch:
-/// Some(d)` inserts a lockstep barrier every `d` of simulated time: no
-/// shard starts epoch `k + 1` before every shard has finished epoch `k`.
-/// Both policies traverse identical per-shard event sequences (see
-/// [`ShardEngine::run_slice`]), so the choice — like `threads` — never
-/// shows in the output.
-pub fn run_epochs<S: ShardEngine>(
+/// finished its iterations within the deadline. `threads` never shows in
+/// the output.
+pub fn run_epochs<S: Engine + Send>(
     shards: &mut [S],
     threads: usize,
     iterations: usize,
     deadline: Dur,
-    epoch: Option<Dur>,
 ) -> bool {
-    if shards.is_empty() {
-        return true;
-    }
     // Per-shard absolute stop: shards restored from a snapshot may start at
     // different clocks, and `run_until_iterations` spans are relative.
     let stops: Vec<Time> = shards.iter().map(|s| s.now() + deadline).collect();
-    let epoch = epoch.filter(|d| !d.is_zero());
-    let start = shards.iter().map(|s| s.now()).min().unwrap();
-    let mut barrier = match epoch {
-        Some(d) => start + d,
-        None => Time::MAX,
-    };
-    loop {
-        // One epoch: every unfinished shard advances to min(barrier, stop).
-        let work: Vec<usize> = shards
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| !s.done(iterations) && s.now() < stops[*i])
-            .map(|(i, _)| i)
-            .collect();
-        if work.is_empty() {
-            break;
-        }
-        run_parallel(shards, &work, threads, |i, shard| {
-            let stop = stops[i].min(barrier);
-            let span = stop.saturating_since(shard.now());
-            shard.run_slice(iterations, span);
-        });
-        match epoch {
-            Some(d) if barrier < *stops.iter().max().unwrap() => barrier += d,
-            Some(_) => break,
-            None => break,
-        }
-    }
+    let work: Vec<usize> = shards
+        .iter()
+        .enumerate()
+        .filter(|(i, s)| !s.done(iterations) && s.now() < stops[*i])
+        .map(|(i, _)| i)
+        .collect();
+    run_parallel(shards, &work, threads, |i, shard| {
+        let span = stops[i].saturating_since(shard.now());
+        shard.run_until_iterations(iterations, span);
+    });
     shards.iter().all(|s| s.done(iterations))
 }
 
 /// Runs `f` over the shards named by `work`, fanning out across up to
 /// `threads` scoped worker threads pulling indices from a shared cursor.
 /// With one thread (or one work item) it degrades to a plain serial loop.
-fn run_parallel<S: ShardEngine>(
+fn run_parallel<S: Send>(
     shards: &mut [S],
     work: &[usize],
     threads: usize,
@@ -209,52 +114,40 @@ mod tests {
         parent.events().to_vec()
     }
 
-    /// The executor's three knobs — thread count, epoch bound, epoch size —
-    /// must be invisible in the merged stream.
+    /// Thread count must be invisible in the merged stream.
     #[test]
-    fn threads_and_epochs_do_not_change_merged_output() {
-        let runs = [
-            (1, None),
-            (4, None),
-            (1, Some(Dur::from_millis(20))),
-            (4, Some(Dur::from_millis(7))),
-        ];
+    fn threads_do_not_change_merged_output() {
         let mut streams = Vec::new();
-        for (threads, epoch) in runs {
+        for threads in [1, 4] {
             let mut sims = shard_sims(3);
-            assert!(run_epochs(&mut sims, threads, 4, Dur::from_secs(5), epoch));
+            assert!(run_epochs(&mut sims, threads, 4, Dur::from_secs(5)));
             streams.push(merged_events(sims));
         }
         assert!(!streams[0].is_empty());
-        for s in &streams[1..] {
-            assert_eq!(s, &streams[0], "executor knobs leaked into the output");
-        }
+        assert_eq!(
+            streams[1], streams[0],
+            "thread count leaked into the output"
+        );
     }
 
-    /// Sharded lockstep equals running each shard independently to the
+    /// Sharded execution equals running each shard independently to the
     /// deadline (what an unsharded per-component loop would do).
     #[test]
-    fn lockstep_equals_independent_runs() {
-        let mut lockstep = shard_sims(2);
-        run_epochs(
-            &mut lockstep,
-            2,
-            3,
-            Dur::from_secs(5),
-            Some(Dur::from_millis(11)),
-        );
+    fn sharded_equals_independent_runs() {
+        let mut sharded = shard_sims(2);
+        run_epochs(&mut sharded, 2, 3, Dur::from_secs(5));
         let mut independent = shard_sims(2);
         for sim in &mut independent {
             sim.run_until_iterations(3, Dur::from_secs(5));
         }
-        assert_eq!(merged_events(lockstep), merged_events(independent));
+        assert_eq!(merged_events(sharded), merged_events(independent));
     }
 
     #[test]
     fn deadline_bounds_unfinished_shards() {
         let mut sims = shard_sims(1);
         // Far too little simulated time for 1000 iterations.
-        assert!(!run_epochs(&mut sims, 1, 1000, Dur::from_millis(5), None));
+        assert!(!run_epochs(&mut sims, 1, 1000, Dur::from_millis(5)));
         assert!(sims[0].now() <= Time::ZERO + Dur::from_millis(6));
     }
 }

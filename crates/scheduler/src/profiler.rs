@@ -13,6 +13,7 @@
 
 use geometry::{quantize_period, Profile};
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur};
 use topology::builders::dumbbell;
 use workload::JobSpec;

@@ -862,7 +862,7 @@ fn run_snapshot_bench(o: &Opts) -> BenchMetrics {
 }
 
 /// The sharding benchmark: a paper-scale cluster scenario (4 link-disjoint
-/// groups × 24 jobs on the fluid engine, plus 4 replicas of the Table 1
+/// groups × 128 jobs on the fluid engine, plus 4 replicas of the Table 1
 /// packet mix) run three ways — as one global simulator, sharded with one
 /// worker, and sharded with `--shards N` workers. Reports the algorithmic
 /// speedup of the sharded decomposition over the global solve and

@@ -19,6 +19,7 @@ use mlcc::experiments::fig1::{self, Fig1Config};
 use mlcc_repro::*;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use proptest::prelude::*;
 use simtime::{Bandwidth, Dur};
 use telemetry::{export, parse_jsonl, BufferRecorder, Event, SpanKind, TimedEvent};

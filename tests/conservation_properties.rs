@@ -13,6 +13,7 @@ use netsim::alloc::{
 };
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use proptest::prelude::*;
 use simtime::{Bandwidth, Dur, Time};
 use topology::builders::dumbbell;

@@ -11,6 +11,7 @@ use mlcc_repro::*;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::BufferRecorder;
 use topology::builders::dumbbell;

@@ -8,6 +8,7 @@ use eventsim::Cdf;
 use geometry::{solve, SolverConfig};
 use mlcc_repro::*;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use scheduler::analytic_profile;
 use simtime::{Bandwidth, Dur};
 use workload::{JobSpec, Model};

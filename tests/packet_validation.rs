@@ -7,6 +7,7 @@ use eventsim::Cdf;
 use mlcc_repro::*;
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur};
 use workload::{JobSpec, Model};
 

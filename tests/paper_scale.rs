@@ -6,6 +6,7 @@
 
 use dcqcn::CcVariant;
 use mlcc_repro::*;
+use netsim::Engine;
 use simtime::Dur;
 use workload::{JobSpec, Model};
 

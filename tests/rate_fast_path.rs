@@ -14,6 +14,7 @@ use mlcc::experiments::table1::{self, Table1Config};
 use mlcc_repro::*;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{BufferRecorder, NoopRecorder, Recorder};
 use topology::LinkSchedule;

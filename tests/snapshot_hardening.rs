@@ -10,6 +10,7 @@ use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use netsim::snapshot::{SnapshotError, Snapshottable, SNAPSHOT_VERSION};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use std::error::Error;
 use telemetry::NoopRecorder;

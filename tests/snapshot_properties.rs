@@ -19,6 +19,7 @@ use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::BufferRecorder;
 use topology::builders::dumbbell;

@@ -21,6 +21,7 @@ use mlcc_repro::*;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use proptest::prelude::*;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::BufferRecorder;
