@@ -177,8 +177,41 @@ pub fn build_fluid(cfg: &ShardConfig) -> FluidScenario {
 pub struct ShardRunResult {
     /// Per-job statistics, in global job order.
     pub stats: Vec<JobStats>,
+    /// Per-job iteration times in completion order, warmup included, in
+    /// global job order.
+    pub iteration_times: Vec<Vec<Dur>>,
     /// Whether every job finished its iterations within the budget.
     pub completed: bool,
+}
+
+impl ShardRunResult {
+    /// Whether every job's first `iterations` iteration times agree with
+    /// `other`'s (to 1e-9 relative, in ms). Medians would compare unlike
+    /// runs: a global run stops when all its jobs reach `iterations`, a
+    /// shard when its own jobs do, so jobs of early-finishing shards run
+    /// extra iterations in the global run.
+    pub fn first_iterations_match(&self, other: &ShardRunResult, iterations: usize) -> bool {
+        self.iteration_times.len() == other.iteration_times.len()
+            && self
+                .iteration_times
+                .iter()
+                .zip(&other.iteration_times)
+                .all(|(a, b)| {
+                    let (a, b) = (&a[..a.len().min(iterations)], &b[..b.len().min(iterations)]);
+                    a.len() == b.len()
+                        && a.iter().zip(b).all(|(x, y)| {
+                            let (x, y) = (x.as_millis_f64(), y.as_millis_f64());
+                            (x - y).abs() <= 1e-9 * x.max(1.0)
+                        })
+                })
+    }
+}
+
+/// Every job's iteration times, in job order.
+fn iteration_times<E: Engine>(sim: &E) -> Vec<Vec<Dur>> {
+    (0..sim.num_jobs())
+        .map(|i| sim.progress(i).iteration_times())
+        .collect()
 }
 
 /// Runs the scenario as one global simulator — the unsharded baseline the
@@ -191,8 +224,12 @@ pub fn run_fluid_unsharded<R: Recorder>(
     let mut sim =
         FluidSimulator::with_recorder(&scn.topology, scn.fluid_cfg.clone(), &scn.jobs, rec);
     let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
-    let stats = chaos::job_stats(&sim, cfg.warmup);
-    (ShardRunResult { stats, completed }, sim.into_recorder())
+    let result = ShardRunResult {
+        stats: chaos::job_stats(&sim, cfg.warmup),
+        iteration_times: iteration_times(&sim),
+        completed,
+    };
+    (result, sim.into_recorder())
 }
 
 /// Runs the scenario sharded: one engine per link-disjoint component, up
@@ -255,28 +292,35 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
         .collect();
     let (per_shard, completed) = run_shards(sims, cfg, rec, threads, FluidSimulator::into_recorder);
     let mut stats: Vec<Option<JobStats>> = vec![None; scn.jobs.len()];
-    for (comp, shard) in scn.plan.components().iter().zip(per_shard) {
-        for (&global, s) in comp.iter().zip(shard) {
+    let mut times = vec![Vec::new(); scn.jobs.len()];
+    for (comp, (shard_stats, shard_times)) in scn.plan.components().iter().zip(per_shard) {
+        for ((&global, s), t) in comp.iter().zip(shard_stats).zip(shard_times) {
             stats[global] = Some(s);
+            times[global] = t;
         }
     }
     ShardRunResult {
         stats: stats.into_iter().map(Option::unwrap).collect(),
+        iteration_times: times,
         completed,
     }
 }
 
+/// One shard's per-job statistics and iteration times, in shard job order.
+type ShardOutcome = (Vec<JobStats>, Vec<Vec<Dur>>);
+
 /// Runs one engine per shard on up to `threads` worker threads, after
 /// round-tripping each through snapshot/restore at `cfg.fork_at` when set,
 /// and merges the shards' recordings into `rec` deterministically.
-/// Returns every shard's job statistics and whether all shards finished.
+/// Returns every shard's job statistics and iteration times, and whether
+/// all shards finished.
 fn run_shards<R, E>(
     mut sims: Vec<E>,
     cfg: &ShardConfig,
     rec: &mut R,
     threads: usize,
     into_recorder: fn(E) -> RemapRecorder<R::Fork>,
-) -> (Vec<Vec<JobStats>>, bool)
+) -> (Vec<ShardOutcome>, bool)
 where
     R: ForkableRecorder,
     E: Engine + Send + Snapshottable<RemapRecorder<R::Fork>>,
@@ -292,16 +336,16 @@ where
             .collect();
     }
     let completed = run_epochs(&mut sims, threads, cfg.iterations, budget(cfg));
-    let stats = sims
+    let outcomes = sims
         .iter()
-        .map(|s| chaos::job_stats(s, cfg.warmup))
+        .map(|s| (chaos::job_stats(s, cfg.warmup), iteration_times(s)))
         .collect();
     rec.join_merged(
         sims.into_iter()
             .map(|s| into_recorder(s).into_inner())
             .collect(),
     );
-    (stats, completed)
+    (outcomes, completed)
 }
 
 /// Simulated-time budget of every run, scaled up under chaos.
@@ -418,8 +462,10 @@ pub fn run_packet_sharded<R: ForkableRecorder>(
         .collect();
     let (per_shard, completed) =
         run_shards(sims, cfg, rec, threads, PacketSimulator::into_recorder);
+    let (stats, times): (Vec<_>, Vec<_>) = per_shard.into_iter().unzip();
     ShardRunResult {
-        stats: per_shard.into_iter().flatten().collect(),
+        stats: stats.into_iter().flatten().collect(),
+        iteration_times: times.into_iter().flatten().collect(),
         completed,
     }
 }
@@ -499,6 +545,29 @@ mod tests {
                 a.label
             );
         }
+    }
+
+    /// Under chaos the global run can overshoot: it stops when all jobs reach
+    /// `iterations`, so jobs of early-finishing shards record extra
+    /// iterations there. Their first `iterations` times still agree.
+    #[test]
+    fn sharded_fluid_first_iterations_match_unsharded_under_chaos() {
+        let mut cfg = ShardConfig::small();
+        cfg.chaos = ChaosConfig::profile("stragglers").unwrap();
+        let scn = build_fluid(&cfg);
+        let (unsharded, _) = run_fluid_unsharded(&scn, &cfg, telemetry::NoopRecorder);
+        let mut rec = BufferRecorder::new();
+        let sharded = run_fluid_sharded(&scn, &cfg, &mut rec, 2);
+        assert!(unsharded.completed && sharded.completed);
+        assert!(unsharded.first_iterations_match(&sharded, cfg.iterations));
+        // A perturbed time in the compared prefix is caught.
+        let mut off = sharded.clone();
+        off.iteration_times[0][0] += Dur::from_micros(1);
+        assert!(!unsharded.first_iterations_match(&off, cfg.iterations));
+        // Beyond the prefix, times may differ.
+        let mut extra = sharded.clone();
+        extra.iteration_times[0].push(Dur::from_secs(1));
+        assert!(unsharded.first_iterations_match(&extra, cfg.iterations));
     }
 
     /// All jobs sharing one bottleneck collapse to a single component, and

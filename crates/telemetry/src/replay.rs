@@ -12,9 +12,21 @@
 //! carrying a typed [`ReplayErrorKind`] and the 1-based line number, so
 //! tooling can distinguish a corrupt file from an unknown event
 //! vocabulary.
+//!
+//! One parser, no fallback: a byte scanner over the input `&str` that both
+//! [`parse_jsonl`] and [`parse_flat_object`] sink. Keys and escape-free
+//! strings are borrowed from the input, only strings with escapes
+//! allocate, and numbers parse straight from their slice. [`parse_jsonl`]
+//! reuses one field buffer across lines (duplicate keys and field lookups
+//! are linear scans over it), so replaying a log allocates per event only
+//! for the values an event owns: a `scenario` name and a `job_path`'s
+//! links. Error positions are counted in chars of the trimmed line, and
+//! only when an error is built; whitespace between tokens is anything
+//! `char::is_whitespace` accepts.
 
 use crate::event::{CcState, Event, Phase, SpanKind, TimedEvent};
 use simtime::Time;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The category of a replay failure.
@@ -130,26 +142,67 @@ impl JsonValue {
     /// The value as a non-negative integer fitting u64, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Num(n) => num_as_u64(*n),
+            _ => None,
+        }
+    }
+}
+
+fn num_as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+}
+
+/// A scanned value borrowing from its line: the zero-copy twin of
+/// [`JsonValue`]. Strings allocate only when they contain escapes.
+enum Value<'a> {
+    Str(Cow<'a, str>),
+    Num(f64),
+    UInts(Vec<u32>),
+}
+
+impl Value<'_> {
+    fn into_owned(self) -> JsonValue {
+        match self {
+            Value::Str(s) => JsonValue::Str(s.into_owned()),
+            Value::Num(n) => JsonValue::Num(n),
+            Value::UInts(v) => JsonValue::UInts(v),
+        }
+    }
+
+    fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(n) => num_as_u64(*n),
             _ => None,
         }
     }
 
     fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(n) => Some(*n),
+            Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
     fn as_str(&self) -> Option<&str> {
         match self {
-            JsonValue::Str(s) => Some(s),
+            Value::Str(s) => Some(s),
             _ => None,
         }
     }
+}
+
+/// One object's fields in line order. Keys are unique (the scanner
+/// rejects duplicates), so a linear lookup finds the only match.
+type Fields<'a> = Vec<(Cow<'a, str>, Value<'a>)>;
+
+/// Moves a field's value out of the line's fields.
+fn take<'a>(fields: &mut Fields<'a>, name: &str) -> Option<Value<'a>> {
+    let i = fields.iter().position(|(k, _)| k == name)?;
+    Some(fields.swap_remove(i).1)
+}
+
+fn lookup<'f, 'a>(fields: &'f [(Cow<'a, str>, Value<'a>)], name: &str) -> Option<&'f Value<'a>> {
+    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
 /// Parses one flat JSON object (`{"k":v,...}`) into a key→value map.
@@ -159,184 +212,267 @@ impl JsonValue {
 /// the summary/diff/history tooling reads the same shape. Rejects nested
 /// objects, duplicate keys, and trailing garbage with a typed error.
 pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonValue>, ParseError> {
-    let mut map = BTreeMap::new();
-    let bytes: Vec<char> = line.trim().chars().collect();
-    let mut i = 0usize;
-    let err = |msg: &str, at: usize| perr(ReplayErrorKind::Syntax, format!("{msg} at char {at}"));
+    let mut fields = Vec::new();
+    scan_object(line.trim(), &mut fields)?;
+    Ok(fields
+        .into_iter()
+        .map(|(k, v)| (k.into_owned(), v.into_owned()))
+        .collect())
+}
 
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_whitespace() {
-            *i += 1;
-        }
-    };
-    let finish = |map: BTreeMap<String, JsonValue>, i: &mut usize| {
-        *i += 1;
-        skip_ws(i);
-        if *i < bytes.len() {
-            return Err(err("trailing characters after object", *i));
-        }
-        Ok(map)
-    };
-    skip_ws(&mut i);
-    if i >= bytes.len() || bytes[i] != '{' {
-        return Err(err("expected '{'", i));
+/// Scans one trimmed flat object into `fields` (cleared first). The one
+/// JSON parser of the crate: [`parse_flat_object`] and [`parse_jsonl`]
+/// both sink its output.
+fn scan_object<'a>(line: &'a str, fields: &mut Fields<'a>) -> Result<(), ParseError> {
+    fields.clear();
+    let mut s = Scanner { line, pos: 0 };
+    if s.peek() != Some(b'{') {
+        return Err(s.syntax("expected '{'"));
     }
-    i += 1;
+    s.pos += 1;
     loop {
-        skip_ws(&mut i);
-        if i < bytes.len() && bytes[i] == '}' {
-            return finish(map, &mut i);
+        s.skip_ws();
+        if s.peek() == Some(b'}') {
+            return s.finish();
         }
-        let key = parse_string(&bytes, &mut i)?;
-        skip_ws(&mut i);
-        if i >= bytes.len() || bytes[i] != ':' {
-            return Err(err("expected ':'", i));
+        let key = s.string()?;
+        s.skip_ws();
+        if s.peek() != Some(b':') {
+            return Err(s.syntax("expected ':'"));
         }
-        i += 1;
-        skip_ws(&mut i);
-        let val = parse_value(&bytes, &mut i)?;
-        if map.insert(key.clone(), val).is_some() {
+        s.pos += 1;
+        s.skip_ws();
+        let val = s.value()?;
+        if lookup(fields, &key).is_some() {
             return Err(perr(
                 ReplayErrorKind::Syntax,
                 format!("duplicate key {key:?}"),
             ));
         }
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(',') => i += 1,
-            Some('}') => return finish(map, &mut i),
-            _ => return Err(err("expected ',' or '}'", i)),
+        fields.push((key, val));
+        s.skip_ws();
+        match s.peek() {
+            Some(b',') => s.pos += 1,
+            Some(b'}') => return s.finish(),
+            _ => return Err(s.syntax("expected ',' or '}'")),
         }
     }
 }
 
-fn parse_string(chars: &[char], i: &mut usize) -> Result<String, ParseError> {
-    if chars.get(*i) != Some(&'"') {
-        return Err(perr(
-            ReplayErrorKind::Syntax,
-            format!("expected '\"' at char {}", *i),
-        ));
+/// A byte cursor over one trimmed line. `pos` is a byte offset that
+/// always sits on a char boundary; error messages report positions in
+/// chars, counted only when an error is built.
+struct Scanner<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.pos).copied()
     }
-    *i += 1;
-    let mut out = String::new();
-    while let Some(&c) = chars.get(*i) {
-        *i += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = chars
-                    .get(*i)
-                    .copied()
-                    .ok_or_else(|| perr(ReplayErrorKind::BadEscape, "dangling escape"))?;
-                *i += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hex: String = chars
-                            .get(*i..*i + 4)
-                            .ok_or_else(|| perr(ReplayErrorKind::BadEscape, "short \\u escape"))?
-                            .iter()
-                            .collect();
-                        *i += 4;
-                        let cp = u32::from_str_radix(&hex, 16).map_err(|_| {
-                            perr(
-                                ReplayErrorKind::BadEscape,
-                                format!("bad \\u digits {hex:?}"),
-                            )
-                        })?;
-                        out.push(char::from_u32(cp).ok_or_else(|| {
-                            perr(
-                                ReplayErrorKind::BadEscape,
-                                format!("bad \\u codepoint {cp:#x}"),
-                            )
-                        })?);
-                    }
-                    other => {
-                        return Err(perr(
-                            ReplayErrorKind::BadEscape,
-                            format!("unknown escape \\{other}"),
-                        ))
-                    }
+
+    fn peek_char(&self) -> Option<char> {
+        self.line[self.pos..].chars().next()
+    }
+
+    /// The char index of byte offset `at`.
+    fn char_at(&self, at: usize) -> usize {
+        self.line[..at].chars().count()
+    }
+
+    /// A syntax error at the cursor.
+    fn syntax(&self, msg: &str) -> ParseError {
+        perr(
+            ReplayErrorKind::Syntax,
+            format!("{msg} at char {}", self.char_at(self.pos)),
+        )
+    }
+
+    /// Skips Unicode whitespace (`char::is_whitespace`). The exporter
+    /// writes none, so the common case is one inlined byte test; chars are
+    /// decoded only at whitespace or a non-ASCII byte.
+    #[inline]
+    fn skip_ws(&mut self) {
+        if self.peek().is_some_and(|b| b > b' ' && b.is_ascii()) {
+            return;
+        }
+        self.skip_ws_slow()
+    }
+
+    fn skip_ws_slow(&mut self) {
+        while let Some(c) = self.peek_char().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
+        }
+    }
+
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.pos < self.line.len() {
+            return Err(self.syntax("trailing characters after object"));
+        }
+        Ok(())
+    }
+
+    /// A string literal, borrowed from the line unless it has escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.syntax("expected '\"'"));
+        }
+        self.pos += 1;
+        let start = self.pos;
+        // '"' and '\' never occur inside a multi-byte UTF-8 sequence, so a
+        // byte search stops on char boundaries only.
+        let run = |from: usize| {
+            self.line.as_bytes()[from..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.line.len(), |n| from + n)
+        };
+        self.pos = run(start);
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.line[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.line[start..self.pos]);
+        while let Some(b) = self.peek() {
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(Cow::Owned(out)),
+                b'\\' => self.escape(&mut out)?,
+                _ => {
+                    let from = self.pos - 1;
+                    self.pos = run(from);
+                    out.push_str(&self.line[from..self.pos]);
                 }
             }
-            c => out.push(c),
         }
+        Err(perr(
+            ReplayErrorKind::UnterminatedString,
+            "unterminated string",
+        ))
     }
-    Err(perr(
-        ReplayErrorKind::UnterminatedString,
-        "unterminated string",
-    ))
-}
 
-fn parse_value(chars: &[char], i: &mut usize) -> Result<JsonValue, ParseError> {
-    match chars.get(*i) {
-        Some('"') => Ok(JsonValue::Str(parse_string(chars, i)?)),
-        Some('{') => Err(perr(
-            ReplayErrorKind::NonFlatValue,
-            "nested object where a flat value was expected",
-        )),
-        Some('[') => {
-            *i += 1;
-            let mut out = Vec::new();
-            loop {
-                while chars.get(*i).is_some_and(|c| c.is_whitespace()) {
-                    *i += 1;
-                }
-                match chars.get(*i) {
-                    Some(']') => {
-                        *i += 1;
-                        return Ok(JsonValue::UInts(out));
-                    }
-                    Some(',') => {
-                        *i += 1;
-                    }
-                    Some(_) => {
-                        let JsonValue::Num(n) = parse_number(chars, i)? else {
-                            unreachable!("parse_number only returns Num")
-                        };
-                        if n < 0.0 || n.fract() != 0.0 || n > f64::from(u32::MAX) {
-                            return Err(perr(
-                                ReplayErrorKind::BadArray,
-                                "array element is not an unsigned integer",
-                            ));
+    /// One escape sequence, the `\` already consumed.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        let esc = self
+            .peek_char()
+            .ok_or_else(|| perr(ReplayErrorKind::BadEscape, "dangling escape"))?;
+        self.pos += esc.len_utf8();
+        match esc {
+            '"' => out.push('"'),
+            '\\' => out.push('\\'),
+            '/' => out.push('/'),
+            'n' => out.push('\n'),
+            'r' => out.push('\r'),
+            't' => out.push('\t'),
+            'u' => {
+                // Four chars, not four bytes: a multi-byte char among them
+                // is a bad digit, not a short escape.
+                let rest = &self.line[self.pos..];
+                let len = rest
+                    .char_indices()
+                    .map(|(i, _)| i)
+                    .chain([rest.len()])
+                    .nth(4)
+                    .ok_or_else(|| perr(ReplayErrorKind::BadEscape, "short \\u escape"))?;
+                let hex = &rest[..len];
+                self.pos += len;
+                let cp = u32::from_str_radix(hex, 16).map_err(|_| {
+                    perr(
+                        ReplayErrorKind::BadEscape,
+                        format!("bad \\u digits {hex:?}"),
+                    )
+                })?;
+                out.push(char::from_u32(cp).ok_or_else(|| {
+                    perr(
+                        ReplayErrorKind::BadEscape,
+                        format!("bad \\u codepoint {cp:#x}"),
+                    )
+                })?);
+            }
+            other => {
+                return Err(perr(
+                    ReplayErrorKind::BadEscape,
+                    format!("unknown escape \\{other}"),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    fn value(&mut self) -> Result<Value<'a>, ParseError> {
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'{') => Err(perr(
+                ReplayErrorKind::NonFlatValue,
+                "nested object where a flat value was expected",
+            )),
+            Some(b'[') => {
+                self.pos += 1;
+                let mut out = Vec::new();
+                loop {
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b']') => {
+                            self.pos += 1;
+                            return Ok(Value::UInts(out));
                         }
-                        out.push(n as u32);
-                    }
-                    None => {
-                        return Err(perr(ReplayErrorKind::BadArray, "unterminated array"));
+                        Some(b',') => self.pos += 1,
+                        Some(_) => {
+                            let n = self.number()?;
+                            if n < 0.0 || n.fract() != 0.0 || n > f64::from(u32::MAX) {
+                                return Err(perr(
+                                    ReplayErrorKind::BadArray,
+                                    "array element is not an unsigned integer",
+                                ));
+                            }
+                            out.push(n as u32);
+                        }
+                        None => {
+                            return Err(perr(ReplayErrorKind::BadArray, "unterminated array"));
+                        }
                     }
                 }
             }
+            Some(b) if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.') => {
+                self.number().map(Value::Num)
+            }
+            Some(_) => Err(perr(
+                ReplayErrorKind::Syntax,
+                format!(
+                    "unsupported value starting with {:?}",
+                    self.peek_char()
+                        .expect("a char starts at every peeked byte")
+                ),
+            )),
+            None => Err(perr(ReplayErrorKind::Syntax, "missing value")),
         }
-        Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.') => parse_number(chars, i),
-        Some(c) => Err(perr(
-            ReplayErrorKind::Syntax,
-            format!("unsupported value starting with {c:?}"),
-        )),
-        None => Err(perr(ReplayErrorKind::Syntax, "missing value")),
     }
-}
 
-fn parse_number(chars: &[char], i: &mut usize) -> Result<JsonValue, ParseError> {
-    let start = *i;
-    while chars
-        .get(*i)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-    {
-        *i += 1;
-    }
-    let s: String = chars[start..*i].iter().collect();
-    match s.parse::<f64>() {
-        Ok(n) if n.is_finite() => Ok(JsonValue::Num(n)),
-        _ => Err(perr(
-            ReplayErrorKind::BadNumber,
-            format!("bad number {s:?} at char {start}"),
-        )),
+    /// The longest run of number characters, parsed in place. Up to 15
+    /// plain digits are summed as an integer: below 2^53, so the f64 is
+    /// exactly what `str::parse` would return.
+    fn number(&mut self) -> Result<f64, ParseError> {
+        let start = self.pos;
+        let bytes = &self.line.as_bytes()[start..];
+        let len = bytes
+            .iter()
+            .position(|&b| !(b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')))
+            .unwrap_or(bytes.len());
+        self.pos += len;
+        let s = &self.line[start..self.pos];
+        if (1..=15).contains(&len) && s.bytes().all(|b| b.is_ascii_digit()) {
+            return Ok(s.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64);
+        }
+        match s.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(perr(
+                ReplayErrorKind::BadNumber,
+                format!("bad number {s:?} at char {}", self.char_at(start)),
+            )),
+        }
     }
 }
 
@@ -370,14 +506,20 @@ fn cc_state_from(label: &str) -> Option<CcState> {
     })
 }
 
-fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseError> {
-    let field = |name: &str| -> Result<&JsonValue, ParseError> {
-        map.get(name).ok_or_else(|| {
-            perr(
-                ReplayErrorKind::MissingField,
-                format!("missing field {name:?}"),
-            )
-        })
+/// Builds the event one scanned line describes. The line's owned values
+/// (a `job_path`'s links, an escaped scenario name) move into the event.
+fn event_from(
+    fields: &mut Fields<'_>,
+    components: &mut Components,
+) -> Result<TimedEvent, ParseError> {
+    let missing = |name: &str| {
+        perr(
+            ReplayErrorKind::MissingField,
+            format!("missing field {name:?}"),
+        )
+    };
+    let field = |name: &str| -> Result<&Value, ParseError> {
+        lookup(fields, name).ok_or_else(|| missing(name))
     };
     let bad = |name: &str| perr(ReplayErrorKind::BadField, format!("invalid field {name:?}"));
     let u32_field = |name: &str| -> Result<u32, ParseError> {
@@ -440,29 +582,25 @@ fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseErro
             }
         }
         "solver_iteration" => Event::SolverIteration {
-            // &'static str in the live event: map known components back,
-            // otherwise leak (replay is a one-shot offline path and the
-            // set of component names is tiny and bounded).
-            component: intern_component(str_field("component")?),
+            component: components.intern(str_field("component")?),
             index: u64_field("index")?,
         },
         "gate_release" => Event::GateRelease {
             job: u32_field("job")?,
         },
         "scenario" => Event::Scenario {
-            name: str_field("name")?.to_string(),
+            name: match take(fields, "name") {
+                Some(Value::Str(name)) => name.into_owned(),
+                Some(_) => return Err(bad("name")),
+                None => return Err(missing("name")),
+            },
         },
         "job_path" => Event::JobPath {
             job: u32_field("job")?,
-            links: match map.get("links") {
-                Some(JsonValue::UInts(v)) => v.clone(),
+            links: match take(fields, "links") {
+                Some(Value::UInts(v)) => v,
                 Some(_) => return Err(bad("links")),
-                None => {
-                    return Err(perr(
-                        ReplayErrorKind::MissingField,
-                        "missing field \"links\"",
-                    ))
-                }
+                None => return Err(missing("links")),
             },
         },
         "link_capacity" => Event::LinkCapacity {
@@ -511,26 +649,33 @@ fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseErro
     })
 }
 
-/// Maps a replayed component name back to a `&'static str`.
+/// Maps replayed component names back to `&'static str`.
 ///
-/// Known engine/component names return their static interning; unknown
-/// names are leaked — acceptable for an offline, once-per-file path with a
-/// bounded vocabulary.
-fn intern_component(name: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "netsim.rate",
-        "netsim.fluid",
-        "netsim.packet",
-        "fluid.alloc",
-        "scheduler.solve",
-        "scheduler.place",
-    ];
-    for k in KNOWN {
-        if *k == name {
+/// Known engine/component names return their static interning; an
+/// unknown name is leaked once and reused for every later line that
+/// carries it, so the leak is bounded by the distinct names in a file.
+#[derive(Default)]
+struct Components {
+    leaked: Vec<&'static str>,
+}
+
+impl Components {
+    fn intern(&mut self, name: &str) -> &'static str {
+        const KNOWN: &[&str] = &[
+            "netsim.rate",
+            "netsim.fluid",
+            "netsim.packet",
+            "fluid.alloc",
+            "scheduler.solve",
+            "scheduler.place",
+        ];
+        if let Some(k) = KNOWN.iter().chain(&self.leaked).find(|k| **k == name) {
             return k;
         }
+        let k: &'static str = Box::leak(name.into());
+        self.leaked.push(k);
+        k
     }
-    Box::leak(name.to_string().into_boxed_str())
 }
 
 /// Parses a JSONL event log (the output of [`crate::export::jsonl`]).
@@ -541,11 +686,22 @@ fn intern_component(name: &str) -> &'static str {
 /// sequence numbers); when present it must increase strictly
 /// monotonically, which catches truncated-and-reglued logs.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TimedEvent>, ReplayError> {
-    let mut out = Vec::new();
+    // Counted in u8 lanes, 255 bytes at a time: a plain `filter().count()`
+    // costs as much as a tenth of the whole replay.
+    let lines = text
+        .as_bytes()
+        .chunks(255)
+        .map(|c| usize::from(c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+        .sum::<usize>()
+        + 1;
+    let mut out = Vec::with_capacity(lines);
+    let mut fields = Fields::with_capacity(16);
     let mut last_seq: Option<u64> = None;
     let mut spans = SpanNesting::default();
+    let mut components = Components::default();
     for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
         let attribute = |e: ParseError| ReplayError {
@@ -553,8 +709,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TimedEvent>, ReplayError> {
             kind: e.kind,
             reason: e.reason,
         };
-        let map = parse_flat_object(line).map_err(attribute)?;
-        if let Some(v) = map.get("seq") {
+        scan_object(line, &mut fields).map_err(attribute)?;
+        if let Some(v) = lookup(&fields, "seq") {
             let seq = v.as_u64().ok_or_else(|| ReplayError {
                 line: idx + 1,
                 kind: ReplayErrorKind::BadSeq,
@@ -571,7 +727,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TimedEvent>, ReplayError> {
             }
             last_seq = Some(seq);
         }
-        let te = event_from(&map).map_err(attribute)?;
+        let te = event_from(&mut fields, &mut components).map_err(attribute)?;
         spans.check(&te.event).map_err(attribute)?;
         out.push(te);
     }
@@ -592,7 +748,9 @@ impl SpanNesting {
     fn check(&mut self, event: &Event) -> Result<(), ParseError> {
         let bad = |reason: String| perr(ReplayErrorKind::BadSpan, reason);
         match event {
-            Event::Scenario { .. } => self.open.clear(),
+            // Emptying the stacks rather than the map keeps their
+            // allocations for the next scenario.
+            Event::Scenario { .. } => self.open.values_mut().for_each(Vec::clear),
             Event::SpanBegin {
                 job,
                 kind,
@@ -956,6 +1114,29 @@ mod tests {
         assert_eq!(m["a"], JsonValue::Str("x\"y".into()));
         assert_eq!(m["b"], JsonValue::Num(2.5));
         assert_eq!(m["c"], JsonValue::UInts(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn unknown_components_are_interned_once_per_replay() {
+        let text: String = (0..1_000)
+            .map(|i| {
+                format!(
+                    "{{\"t_ns\":{i},\"type\":\"solver_iteration\",\
+                     \"component\":\"custom.solver\",\"index\":{i}}}\n"
+                )
+            })
+            .collect();
+        let names: Vec<&'static str> = parse_jsonl(&text)
+            .unwrap()
+            .into_iter()
+            .map(|te| match te.event {
+                Event::SolverIteration { component, .. } => component,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(names.len(), 1_000);
+        assert_eq!(names[0], "custom.solver");
+        assert!(names.iter().all(|n| std::ptr::eq(*n, names[0])));
     }
 
     #[test]

@@ -178,6 +178,25 @@ diff tests/goldens/fig1_explain.txt "$GATE/explain_j1.txt" || {
 grep -q "conservation: .* (PASS" "$GATE/explain_j1.txt"
 echo "explain byte-identical across --jobs, matches golden, conserves time"
 
+echo "== offline replay explains like the live run (fig1 JSONL vs in-memory) =="
+# `explain FILE` replays the JSONL export through the same fold. Its blame
+# tables and conservation verdicts must equal the live run's; only the run
+# name and the geometry verdict, which need the live config, may differ.
+"$BIN" fig1 --iterations 20 --trace "$GATE/explain_fig1.jsonl" > /dev/null
+"$BIN" explain "$GATE/explain_fig1.jsonl" > "$GATE/explain_offline.txt"
+live_view() { grep -v -e '^== explain: ' -e '^  geometry: ' "$1"; }
+diff <(live_view "$GATE/explain_j1.txt") <(live_view "$GATE/explain_offline.txt") || {
+    echo "offline explain of the replayed trace disagrees with the live run" >&2
+    exit 1
+}
+PASSES=$(grep -c "conservation: .* (PASS" "$GATE/explain_offline.txt")
+SCENARIOS=$(grep -c "^scenario " "$GATE/explain_offline.txt")
+if [ "$PASSES" -ne "$SCENARIOS" ] || [ "$SCENARIOS" -eq 0 ]; then
+    echo "offline explain: $PASSES conservation PASS lines for $SCENARIOS scenarios" >&2
+    exit 1
+fi
+echo "replayed JSONL explains identically to the live run ($SCENARIOS scenarios conserve)"
+
 echo "== offline report summaries land in the trend warehouse =="
 rm -rf "$GATE/rpt"
 mkdir -p "$GATE/rpt"
@@ -218,6 +237,18 @@ mkdir -p "$GATE/shard"
 cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4.jsonl"
 cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4_composed.jsonl"
 echo "sharded trace byte-identical across --shards 1/4, --jobs, --fork-at"
+
+echo "== shard stats parity under chaos (global vs sharded, first N iterations) =="
+# Under stragglers the global run stops when all 512 jobs reach N, so some
+# jobs record extra iterations there; the parity check compares each
+# job's first N iteration times, so a correct run must report a match.
+"$BIN" shard --iterations 2 --chaos stragglers --chaos-seed 3 > "$GATE/shard/chaos.txt"
+grep -q "stats match" "$GATE/shard/chaos.txt" || {
+    echo "shard --chaos stragglers: sharded and global runs disagree:" >&2
+    grep "stats" "$GATE/shard/chaos.txt" >&2
+    exit 1
+}
+echo "sharded chaos run matches the global run on every job's first N iterations"
 
 echo "== shard speedup gate (paper-scale decomposition, BENCH_shard) =="
 "$BIN" shard --shards 4 --summary-dir "$GATE/bench" > /dev/null
